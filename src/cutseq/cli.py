@@ -38,7 +38,15 @@ from .symbolic import (
     parse_word,
     word_text,
 )
-from .tracer import TraceConfig, VertexHit, plot_svg, random_interior_point, trace
+from .tracer import (
+    TraceConfig,
+    VertexHit,
+    plot_svg,
+    random_exact_interior_point,
+    random_interior_point,
+    trace,
+    trace_word,
+)
 
 DOMAIN_ERRORS = (
     VertexHit,
@@ -120,32 +128,30 @@ def _emit(payload: dict, args, command: str) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _trace_setup(args, poly, exact: bool = False):
+    """Direction, start point (given or seeded), its JSON form and the trace config."""
+    d = _parse_direction(args.theta, args.cot, args.n)
+    if exact and not isinstance(d, ExactDirection):
+        raise ValueError("--exact tracing needs an exact --cot direction")
+    rng = random.Random(args.seed)
+    if args.start:
+        sx, sy = (Q2Scalar.parse(v) if exact else float(v) for v in args.start.split(","))
+        start = (sx, sy)
+    elif exact:
+        start = random_exact_interior_point(poly, rng)
+    else:
+        start = random_interior_point(poly, rng)
+    start_json = [str(v) for v in start] if exact else list(start)
+    cfg = TraceConfig(
+        epsilon=args.epsilon, max_crossings=args.crossings, mode="exact" if exact else "approx"
+    )
+    return d, start, start_json, cfg
+
+
 def _cmd_trace(args) -> None:
     poly = build_polygon(args.n)
-    d = _parse_direction(args.theta, args.cot, args.n)
-    rng = random.Random(args.seed)
-    if args.exact:
-        if not isinstance(d, ExactDirection):
-            raise ValueError("--exact tracing needs an exact --cot direction")
-        if args.start:
-            sx, sy = (Q2Scalar.parse(v) for v in args.start.split(","))
-        else:
-            from .tracer import random_exact_interior_point
-
-            sx, sy = random_exact_interior_point(poly, rng)
-        start = (sx, sy)
-        cfg = TraceConfig(epsilon=args.epsilon, max_crossings=args.crossings, mode="exact")
-        word, log = trace(poly, start, d, cfg)
-        start_json = [str(sx), str(sy)]
-    else:
-        if args.start:
-            fx, fy = (float(v) for v in args.start.split(","))
-            start = (fx, fy)
-        else:
-            start = random_interior_point(poly, rng)
-        cfg = TraceConfig(epsilon=args.epsilon, max_crossings=args.crossings)
-        word, log = trace(poly, start, ApproxDirection(direction_theta(d)), cfg)
-        start_json = list(start)
+    d, start, start_json, cfg = _trace_setup(args, poly, args.exact)
+    word, log = trace(poly, start, d, cfg)
     payload = {
         "direction": _direction_json(d),
         "start": start_json,
@@ -160,15 +166,8 @@ def _cmd_trace(args) -> None:
 
 def _cmd_plot(args) -> None:
     poly = build_polygon(args.n)
-    d = _parse_direction(args.theta, args.cot, args.n)
-    rng = random.Random(args.seed)
-    if args.start:
-        sx, sy = (float(v) for v in args.start.split(","))
-        start = (sx, sy)
-    else:
-        start = random_interior_point(poly, rng)
-    cfg = TraceConfig(epsilon=args.epsilon, max_crossings=args.crossings)
-    _, log = trace(poly, start, ApproxDirection(direction_theta(d)), cfg)
+    d, start, _, cfg = _trace_setup(args, poly)
+    _, log = trace(poly, start, d, cfg)
     sys.stdout.write(plot_svg(log, poly) + "\n")
 
 
@@ -208,8 +207,7 @@ def _cmd_recognize(args) -> None:
             text = fh.read().strip()
     w = _parse_any_word(text, args.n)
     iv = recognize_direction(w, args.depth, args.n)
-    tr = renormalize(w, args.depth, args.n)
-    payload = {"diagrams": list(tr.diagrams)}
+    payload = {"diagrams": list(iv.prefix)}
     payload.update(_interval_json(iv))
     _emit(payload, args, "recognize")
 
@@ -300,9 +298,7 @@ def _cmd_complexity(args) -> None:
     rng = random.Random(args.seed)
     start = random_interior_point(poly, rng)
     cfg = TraceConfig(max_crossings=args.crossings)
-    from .tracer import trace_word
-
-    word = trace_word(poly, start, ApproxDirection(direction_theta(d)), cfg)
+    word = trace_word(poly, start, d, cfg)
     counts = factor_counts_upto(word, args.len)
     _emit(
         {

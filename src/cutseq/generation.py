@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .farey import itinerary
+from .farey import InvalidPrefixError, _check_prefix, itinerary
 from .symbolic import (
     InadmissibleWordError,
     PeriodicWord,
@@ -29,6 +29,7 @@ from .symbolic import (
     letter_at,
     letter_index,
     letters_for,
+    permute,
     sector_permutation,
     transitions,
     word_text,
@@ -37,10 +38,6 @@ from .symbolic import (
 
 class SynthesisFailure(RuntimeError):
     """No (or no unique) interpolating word satisfies the sandwich constraints."""
-
-
-class InvalidPrefixError(ValueError):
-    pass
 
 
 @lru_cache(maxsize=None)
@@ -175,8 +172,6 @@ def generate(k: int, i: int, w: Wordlike, n: int = 4) -> Wordlike:
         out = "".join(parts)
     if i == 0:
         return out
-    from .symbolic import permute  # local import keeps module order simple
-
     return permute(sector_permutation(i, n).inverse(), out)
 
 
@@ -209,10 +204,7 @@ def build_family(
     give the corresponding cylinder of the closure.
     """
     prefix = tuple(prefix)
-    if not prefix:
-        raise InvalidPrefixError("empty prefix")
-    if not 0 <= prefix[0] <= 2 * n - 1 or any(not 1 <= s <= 2 * n - 1 for s in prefix[1:]):
-        raise InvalidPrefixError(f"prefix {prefix} violates the entry constraints")
+    _check_prefix(prefix, n)
     if seeds is None:
         seeds = periodic_seeds(prefix[-1], n)
     words = list(seeds)

@@ -261,14 +261,12 @@ def sector_permutation(i: int, n: int) -> LetterPermutation:
     """
     if not 0 <= i < 2 * n:
         raise IndexError(f"sector index {i} outside 0..{2 * n - 1}")
-    letters = letters_for(n)
+    letters_for(n)
+    k = i // 2
     if i % 2 == 0:
-        k = i // 2
         images = tuple(letter_at(1 + (j - 1 + k) % n) for j in range(1, n + 1))
     else:
-        k = i // 2
         images = tuple(letter_at(1 + (n - j - k) % n) for j in range(1, n + 1))
-    del letters
     return LetterPermutation(images)
 
 

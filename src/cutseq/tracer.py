@@ -2,12 +2,11 @@
 
 A trajectory travels in a fixed direction, and on hitting a side re-enters at
 the corresponding point of the opposite side (translation by twice the side
-midpoint, toward the center).  The floating engine renormalizes each crossing
-onto its side segment, so the translation invariance is exact by construction
-and no drift accumulates.  The exact engine (n in {2, 4}, Q(sqrt 2) data)
-parametrizes the trajectory by crossing time and carries the accumulated
-side-pairing translation, which keeps denominators bounded; recurrence of the
-exact boundary state certifies periodicity.
+midpoint, toward the center).  One tracer runs over floats or, for n in
+{2, 4}, over exact Q(sqrt 2) coordinates.  It renormalizes each crossing onto
+its side segment, so the translation invariance is exact by construction and
+floats accumulate no drift; recurrence of the exact boundary state certifies
+periodicity.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_arith import Direction, ExactDirection, Q2Scalar, direction_theta
+from .exact_arith import ONE, ZERO, Direction, ExactDirection, Q2Scalar, direction_theta
 from .polygon import LabeledPolygon
-
-_TWO = Q2Scalar(Fraction(2))
 
 
 class VertexHit(RuntimeError):
@@ -65,47 +62,51 @@ class TraceLog:
         return "".join(c.letter for c in self.crossings)
 
 
-def _direction_vector(d: Direction) -> tuple[float, float]:
-    t = direction_theta(d)
-    return math.cos(t), math.sin(t)
+def _run(
+    poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=False, want_states=False
+):
+    """Follow the ray crossing by crossing over the field cfg.mode picks.
 
-
-def _float_sides(poly: LabeledPolygon, vx: float, vy: float):
-    """Per-side data for sides the direction can exit through (outward normal . v > 0)."""
-    out = []
-    for k in range(2 * poly.n):
-        (ax, ay), (bx, by) = poly.side_endpoints(k)
+    Away from vertices exactly one exit side (outward normal . v > 0) meets the
+    ray with side parameter 0 <= u <= 1; the crossing lands on that side, then
+    re-enters from the opposite one.
+    """
+    if cfg.mode == "exact":
+        if poly.exact_vertices is None:
+            raise ValueError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
+        if not isinstance(d, ExactDirection):
+            raise TypeError("exact tracing needs an exact direction")
+        endpoints, vx, vy, zero, one = poly.exact_side_endpoints, d.x, d.y, ZERO, ONE
+        px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
+        lo, hi = ZERO, ONE
+    else:
+        t = direction_theta(d)
+        endpoints, vx, vy, zero, one = poly.side_endpoints, math.cos(t), math.sin(t), 0.0, 1.0
+        px, py = float(start[0]), float(start[1])
+        # u <= lo or u >= hi is u < epsilon or u > 1 - epsilon; with the exact
+        # bounds (ZERO, ONE) the same test is u == 0 or u == 1
+        lo, hi = math.nextafter(cfg.epsilon, 0.0), math.nextafter(1.0 - cfg.epsilon, 2.0)
+    sides = []
+    for k in range(poly.side_count):
+        (ax, ay), (bx, by) = endpoints(k)
         ex, ey = bx - ax, by - ay
-        if -ey * vx + ex * vy <= 0:  # outward normal of a clockwise polygon is (-ey, ex)
-            continue
-        denom = ex * vy - ey * vx
-        if denom == 0:
-            continue
-        mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
-        out.append((ax, ay, ex, ey, 1.0 / denom, -2.0 * mx, -2.0 * my, poly.letter(k), k))
-    return out
-
-
-def _run_float(poly, start, d, cfg, want_log=False, want_states=False):
-    vx, vy = _direction_vector(d)
-    sides = _float_sides(poly, vx, vy)
-    eps = cfg.epsilon
-    hi = 1.0 - eps
-    px, py = float(start[0]), float(start[1])
+        denom = ex * vy - ey * vx  # outward normal (-ey, ex) of a clockwise polygon, dotted with v
+        if denom > zero:
+            sides.append((ax, ay, ex, ey, one / denom, -(ax + bx), -(ay + by), poly.letter(k), k))
     letters: list[str] = []
     crossings: list[Crossing] = []
-    states: list[tuple[int, float]] = []
+    states: list[tuple] = []
     add_letter = letters.append
     for step in range(cfg.max_crossings):
         for ax, ay, ex, ey, inv, tx, ty, letter, k in sides:
             u = ((px - ax) * vy - (py - ay) * vx) * inv
-            if 0.0 <= u <= 1.0:
-                if u < eps or u > hi:
+            if zero <= u <= one:
+                if u <= lo or u >= hi:
                     raise VertexHit(step, k)
                 qx, qy = ax + u * ex, ay + u * ey
                 add_letter(letter)
                 if want_log:
-                    crossings.append(Crossing(letter, (qx, qy), k))
+                    crossings.append(Crossing(letter, (float(qx), float(qy)), k))
                 if want_states:
                     states.append((k, u))
                 px, py = qx + tx, qy + ty
@@ -115,81 +116,16 @@ def _run_float(poly, start, d, cfg, want_log=False, want_states=False):
     return letters, crossings, states
 
 
-def _exact_sides(poly: LabeledPolygon, d: ExactDirection):
-    vx, vy = d.x, d.y
-    out = []
-    for k in range(2 * poly.n):
-        (ax, ay), (bx, by) = poly.exact_side_endpoints(k)
-        ex, ey = bx - ax, by - ay
-        if (-ey * vx + ex * vy).sign() <= 0:
-            continue
-        denom = vx * ey - vy * ex
-        if denom.sign() == 0:
-            continue
-        mx, my = (ax + bx) / _TWO, (ay + by) / _TWO
-        out.append((ax, ay, ex, ey, denom.inverse(), -(_TWO * mx), -(_TWO * my), poly.letter(k), k))
-    return out
-
-
-def _run_exact(poly, start, d, cfg, want_log=False, want_states=False):
-    if poly.exact_vertices is None:
-        raise ValueError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
-    if not isinstance(d, ExactDirection):
-        raise TypeError("exact tracing needs an exact direction")
-    p0x = start[0] if isinstance(start[0], Q2Scalar) else Q2Scalar(Fraction(start[0]))
-    p0y = start[1] if isinstance(start[1], Q2Scalar) else Q2Scalar(Fraction(start[1]))
-    vx, vy = d.x, d.y
-    sides = _exact_sides(poly, d)
-    # The physical point after m crossings is p0 + t v - D with D the summed
-    # side-pairing translations; solving against the fixed p0 keeps all
-    # denominators bounded by the heights of the side data.
-    dx = dy = Q2Scalar()
-    t_prev = None
-    letters: list[str] = []
-    crossings: list[Crossing] = []
-    states: list[tuple[int, Q2Scalar]] = []
-    for step in range(cfg.max_crossings):
-        best = None
-        for ax, ay, ex, ey, inv, tx, ty, letter, k in sides:
-            rx, ry = ax + dx - p0x, ay + dy - p0y
-            u = (rx * vy - ry * vx) * inv
-            if u.sign() < 0 or (u - 1).sign() > 0:
-                continue
-            t = (rx * ey - ry * ex) * inv
-            if t_prev is not None and (t - t_prev).sign() <= 0:
-                continue
-            if best is None or (t - best[0]).sign() < 0:
-                best = (t, u, ax, ay, ex, ey, tx, ty, letter, k)
-        if best is None:
-            raise AssertionError("ray found no exit side")
-        t, u, ax, ay, ex, ey, tx, ty, letter, k = best
-        if u.sign() == 0 or (u - 1).sign() == 0:
-            raise VertexHit(step, k)
-        letters.append(letter)
-        if want_log:
-            qx, qy = ax + u * ex, ay + u * ey
-            crossings.append(Crossing(letter, (float(qx), float(qy)), k))
-        if want_states:
-            states.append((k, u))
-        dx, dy = dx - tx, dy - ty  # D grows by +2 mid = -(tx, ty)
-        t_prev = t
-    return letters, crossings, states
-
-
-def _runner(cfg: TraceConfig):
-    return _run_exact if cfg.mode == "exact" else _run_float
-
-
 def trace(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple[str, TraceLog]:
     """Cutting sequence of max_crossings crossings, with the full crossing log."""
-    letters, crossings, _ = _runner(cfg)(poly, start, d, cfg, want_log=True)
+    letters, crossings, _ = _run(poly, start, d, cfg, want_log=True)
     log = TraceLog(d, tuple(start), crossings)
     return "".join(letters), log
 
 
 def trace_word(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> str:
     """Cutting sequence only; the lean path for long traces."""
-    letters, _, _ = _runner(cfg)(poly, start, d, cfg)
+    letters, _, _ = _run(poly, start, d, cfg)
     return "".join(letters)
 
 
@@ -200,18 +136,12 @@ def detect_period(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -
     first boundary state; floating states recur within epsilon, exact states
     exactly.
     """
-    _, _, states = _runner(cfg)(poly, start, d, cfg, want_states=True)
-    if not states:
-        return None
+    _, _, states = _run(poly, start, d, cfg, want_states=True)
+    exact = cfg.mode == "exact"
     side0, u0 = states[0]
     for m in range(1, len(states)):
         side, u = states[m]
-        if side != side0:
-            continue
-        if cfg.mode == "exact":
-            if (u - u0).is_zero():
-                return m
-        elif abs(u - u0) < cfg.epsilon:
+        if side == side0 and (u == u0 if exact else abs(u - u0) < cfg.epsilon):
             return m
     return None
 

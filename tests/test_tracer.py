@@ -82,6 +82,45 @@ def test_exact_and_float_words_agree():
     assert exact == approx
 
 
+def test_exact_vertex_hit():
+    # from the exact center, inverse slope sqrt2 - 1 points at vertex 0 of the octagon
+    origin = (q2(0), q2(0))
+    d = ExactDirection.from_cot(q2(-1, 1))
+    with pytest.raises(VertexHit) as hit:
+        trace(OCT, origin, d, TraceConfig(max_crossings=5, mode="exact"))
+    assert (hit.value.crossing, hit.value.side) == (0, 0)
+
+
+def _trace_outcome(poly, start, d, cfg):
+    try:
+        return trace_word(poly, start, d, cfg), detect_period(poly, start, d, cfg)
+    except VertexHit as hit:
+        return "vertex", hit.crossing, hit.side
+
+
+def _agreement_cases():
+    rng = random.Random(2009)
+    cases = [(2, q2(Fraction(p, q))) for p, q in ((1, 3), (-2, 5), (3, 2))]
+    while len(cases) < 13:
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        mu = q2(a, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        if not mu.is_zero():
+            cases.append((4, mu))
+    return cases
+
+
+@pytest.mark.parametrize("n, mu", _agreement_cases(), ids=str)
+def test_exact_and_float_traces_agree(n, mu):
+    poly = build_polygon(n)
+    d = ExactDirection.from_cot(mu)
+    start = (q2(Fraction(1, 10)), q2(Fraction(1, 7)))
+    exact = _trace_outcome(poly, start, d, TraceConfig(max_crossings=300, mode="exact"))
+    approx = _trace_outcome(
+        poly, (0.1, 1 / 7), ApproxDirection(d.theta()), TraceConfig(max_crossings=300)
+    )
+    assert exact == approx
+
+
 def test_detect_period_at_pi_8():
     # angle pi/8: cot is 1 + sqrt2, a cylinder direction
     d = ExactDirection.from_cot(q2(1, 1))
