@@ -1,8 +1,9 @@
 """Command line front end: JSON (or SVG) on stdout, diagnostics on stderr.
 
 Every output embeds a run manifest (command, flags, seed, version, timestamp);
-re-running the same command with the manifest's flags, including its recorded
---timestamp, reproduces the output byte for byte.  Exit codes: 0 success,
+the flags always include the timestamp, taken from --timestamp or from the
+clock, so re-running the same command with the manifest's flags alone
+reproduces the output byte for byte.  Exit codes: 0 success,
 1 usage errors, 2 domain errors (vertex hits, ambiguity, inadmissible words).
 """
 
@@ -35,6 +36,7 @@ from .symbolic import (
     derive,
     factor_counts_upto,
     format_word,
+    is_exhausted,
     parse_word,
     word_text,
 )
@@ -110,6 +112,8 @@ def _word_json(w, n: int) -> str:
 
 
 def _emit(payload: dict, args, command: str) -> None:
+    # resolved before the flags are recorded, so the flags alone replay the run
+    args.timestamp = args.timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat()
     flags = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command") and v is not None
     }
@@ -118,7 +122,7 @@ def _emit(payload: dict, args, command: str) -> None:
         "flags": flags,
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "timestamp": args.timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "timestamp": args.timestamp,
     }
     doc = {"schema": f"cutseq/{command}/1", "manifest": manifest}
     doc.update(payload)
@@ -176,7 +180,7 @@ def _cmd_derive(args) -> None:
     out = w
     exhausted_at = None
     for step in range(args.times):
-        if out is None or (not isinstance(out, PeriodicWord) and len(word_text(out)) == 0):
+        if is_exhausted(out):
             exhausted_at = step
             break
         out = derive(out)

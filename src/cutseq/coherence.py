@@ -22,10 +22,11 @@ from .symbolic import (
     InadmissibleWordError,
     PeriodicWord,
     Wordlike,
-    WordWindow,
+    _wrapped,
     admissible_diagrams,
     build_diagram,
     derive,
+    is_exhausted,
     permute,
     sector_permutation,
     word_text,
@@ -46,18 +47,11 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
     Only interior occurrences count: the boundary letters of a window have
     unknown neighbours.  Periodic words wrap around.
     """
-    s = word_text(w)
-    m = len(s)
     prof: dict[str, set[str]] = {}
-    if isinstance(w, PeriodicWord):
-        positions = range(m)
-    else:
-        positions = range(1, m - 1)
-    for idx in positions:
-        left = s[(idx - 1) % m] if isinstance(w, PeriodicWord) else s[idx - 1]
-        right = s[(idx + 1) % m] if isinstance(w, PeriodicWord) else s[idx + 1]
-        if left == right:
-            prof.setdefault(s[idx], set()).add(left)
+    # dict.fromkeys: distinct pairs, letters in order of first sandwiched occurrence
+    t = _wrapped(w)
+    for letter, left in dict.fromkeys((b, a) for a, b, c in zip(t, t[1:], t[2:]) if a == c):
+        prof.setdefault(letter, set()).add(left)
     return {letter: frozenset(v) for letter, v in prof.items()}
 
 
@@ -113,16 +107,19 @@ def _core_matches(nw: Wordlike, j: int, v: Wordlike, n: int) -> bool:
         return generate(j, 0, v, n) == nw
     s = word_text(nw)
     vtext = word_text(v)
-    if not vtext:
-        return False
-    sandwiched = [idx for idx in range(1, len(s) - 1) if s[idx - 1] == s[idx + 1]]
-    lo, hi = sandwiched[0], sandwiched[-1]
-    if s[lo : hi + 1] != word_text(generate(j, 0, vtext, n)):
+    lo = _first_sandwiched(s)
+    hi = len(s) - 1 - _first_sandwiched(s[::-1])
+    if s[lo : hi + 1] != generate(j, 0, vtext, n):
         return False
     table = synthesize_table(n)
     return _is_suffix_of_rule(s[:lo], table, j, vtext[0]) and _is_prefix_of_rule(
         s[hi + 1 :], table, j, vtext[-1]
     )
+
+
+def _first_sandwiched(s: str) -> int:
+    """Index of the first sandwiched letter of s (one must exist)."""
+    return next(i for i, (a, c) in enumerate(zip(s, s[2:]), 1) if a == c)
 
 
 def _is_suffix_of_rule(stub: str, table, j: int, target: str) -> bool:
@@ -153,7 +150,7 @@ def decompose_candidates(w: Wordlike, i: int, n: int = 4) -> list[tuple[int, Wor
         return []
     nw = permute(sector_permutation(i, n), w)
     v = derive(nw)
-    if v is None or not word_text(v):
+    if is_exhausted(v):
         return []
     out = []
     for j in range(1, 2 * n):
@@ -255,7 +252,7 @@ def renormalize(
     trace = RenormalizationTrace()
     cur: Wordlike | None = w
     for k in range(max_depth):
-        if cur is None or (not isinstance(cur, PeriodicWord) and len(word_text(cur)) == 0):
+        if is_exhausted(cur):
             trace.failure = "window_exhausted"
             return trace
         found = admissible_diagrams(cur, n)

@@ -23,15 +23,14 @@ from .symbolic import (
     TransitionDiagram,
     Wordlike,
     WordWindow,
+    _pairs,
     boundary_diagram,
     build_diagram,
     factor_set,
     letter_at,
-    letter_index,
     letters_for,
     permute,
     sector_permutation,
-    transitions,
     word_text,
 )
 
@@ -157,19 +156,13 @@ def generate(k: int, i: int, w: Wordlike, n: int = 4) -> Wordlike:
     s = word_text(w)
     if not s:
         return w
-    parts = [s[0]]
-    for a, b in transitions(w):
-        parts.append(table.word(k, a, b))
-        parts.append(b)
+    body = "".join([a + table.word(k, a, b) for a, b in _pairs(w)])
     if isinstance(w, PeriodicWord):
-        # transitions() already included the wrap pair, whose closing letter
-        # duplicates the first letter of the cycle
-        body = "".join(parts)[:-1]
         out: Wordlike = PeriodicWord.of(body)
     elif isinstance(w, WordWindow):
-        out = WordWindow("".join(parts))
+        out = WordWindow(body + s[-1])
     else:
-        out = "".join(parts)
+        out = body + s[-1]
     if i == 0:
         return out
     return permute(sector_permutation(i, n).inverse(), out)

@@ -5,17 +5,21 @@ chr(ord('A') + j - 1); alphabets up to n = 26 are supported, which covers every
 polygon anyone draws).  A finite word is a plain str.  A WordWindow is a finite
 stretch of a bi-infinite word: whether its first and last letters are sandwiched
 cannot be known, so derivation drops them.  A PeriodicWord stores the primitive
-period in its lexicographically least rotation and derives with wrap-around.
+period in its lexicographically least rotation.  The wrap rule, defined once in
+`_wrapped`: a period's last letter precedes its first, so every letter of a
+period is interior.  Each per-letter pass runs over `zip` of the wrapped text
+and its shifts.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 LETTERS = string.ascii_uppercase
 MAX_ALPHABET = len(LETTERS)
+_LABELS = str.maketrans({c: f"L{j} " for j, c in enumerate(LETTERS, 1)})
 
 
 class InadmissibleWordError(ValueError):
@@ -52,7 +56,7 @@ def format_word(word: str, n: int) -> str:
     """External text form: plain letters for n <= 4, 'L1 L5 ...' beyond."""
     if n <= 4:
         return word
-    return " ".join(f"L{letter_index(c)}" for c in word)
+    return word.translate(_LABELS).rstrip()
 
 
 def parse_word(text: str, n: int) -> str:
@@ -73,11 +77,8 @@ def parse_word(text: str, n: int) -> str:
 
 def primitive_period(word: str) -> str:
     """Shortest word whose repetition gives `word` (requires len(word) >= 1)."""
-    m = len(word)
-    for p in range(1, m + 1):
-        if m % p == 0 and word == word[:p] * (m // p):
-            return word[:p]
-    return word
+    # the first rotation equal to the word is by the length of its primitive root
+    return word[: (word + word).find(word, 1)]
 
 
 def least_rotation(word: str) -> str:
@@ -137,22 +138,33 @@ def word_text(w: Wordlike) -> str:
     return w
 
 
+def is_exhausted(w: Wordlike | None) -> bool:
+    """No letters left to derive: None, or a window or str with no letters."""
+    return w is None or not word_text(w)
+
+
+def _wrapped(w: Wordlike) -> str:
+    """The letters of w with their neighbours attached by the wrap rule (module doc)."""
+    if isinstance(w, PeriodicWord):
+        p = w.period
+        return p[-1] + p + p[0]
+    return word_text(w)
+
+
+def _pairs(w: Wordlike):
+    """Adjacent letter pairs in order; a periodic word's wrap pair comes last."""
+    t = _wrapped(w)
+    return zip(t[1:], t[2:]) if isinstance(w, PeriodicWord) else zip(t, t[1:])
+
+
 def transitions(w: Wordlike) -> list[tuple[str, str]]:
     """Adjacent letter pairs; for periodic words this includes the wrap pair."""
-    s = word_text(w)
-    pairs = [(s[i], s[i + 1]) for i in range(len(s) - 1)]
-    if isinstance(w, PeriodicWord) and s:
-        pairs.append((s[-1], s[0]))
-    return pairs
+    return list(_pairs(w))
 
 
 def transition_set(w: Wordlike) -> frozenset[tuple[str, str]]:
     """Distinct adjacent letter pairs (admissibility only needs the set)."""
-    s = word_text(w)
-    pairs = set(zip(s, s[1:]))
-    if isinstance(w, PeriodicWord) and s:
-        pairs.add((s[-1], s[0]))
-    return frozenset(pairs)
+    return frozenset(_pairs(w))
 
 
 # -- transition diagrams -----------------------------------------------------
@@ -189,10 +201,13 @@ class LetterPermutation:
     """A bijection of the n letters, stored as the image tuple of A, B, C, ..."""
 
     images: tuple[str, ...]
+    _table: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if sorted(self.images) != sorted(letters_for(len(self.images))):
+        letters = letters_for(len(self.images))
+        if sorted(self.images) != sorted(letters):
             raise ValueError(f"not a bijection of {len(self.images)} letters: {self.images}")
+        object.__setattr__(self, "_table", str.maketrans(letters, "".join(self.images)))
 
     @property
     def n(self) -> int:
@@ -202,13 +217,12 @@ class LetterPermutation:
         return self.images[letter_index(letter) - 1]
 
     def apply_word(self, word: str) -> str:
-        return "".join(self(c) for c in word)
+        return word.translate(self._table)
 
     def inverse(self) -> LetterPermutation:
-        inv = [""] * self.n
-        for j, image in enumerate(self.images):
-            inv[letter_index(image) - 1] = letter_at(j + 1)
-        return LetterPermutation(tuple(inv))
+        letters = letters_for(self.n)
+        inv = str.maketrans("".join(self.images), letters)
+        return LetterPermutation(tuple(letters.translate(inv)))
 
     def compose(self, other: LetterPermutation) -> LetterPermutation:
         """self after other."""
@@ -227,8 +241,8 @@ class LetterPermutation:
             if not cyc:
                 continue
             members = cyc.split(",") if "," in cyc else list(cyc)
-            for i, c in enumerate(members):
-                images[letter_index(c) - 1] = members[(i + 1) % len(members)]
+            for a, b in zip(members, members[1:] + members[:1]):
+                images[letter_index(a) - 1] = b
         return cls(tuple(images))
 
     def cycles(self) -> str:
@@ -346,23 +360,16 @@ def derive(w: Wordlike):
     truncated; periodic words wrap around and may derive to None when no letter
     survives.  Finite str input is treated as a window.
     """
+    t = _wrapped(w)
+    kept = "".join(b for a, b, c in zip(t, t[1:], t[2:]) if a == c)
     if isinstance(w, PeriodicWord):
-        p = w.period
-        m = len(p)
-        if m == 1:
-            return w
-        kept = "".join(p[i] for i in range(m) if p[(i - 1) % m] == p[(i + 1) % m])
         return PeriodicWord.of(kept) if kept else None
-    s = word_text(w)
-    kept = "".join(s[i] for i in range(1, len(s) - 1) if s[i - 1] == s[i + 1])
-    if isinstance(w, WordWindow):
-        return WordWindow(kept)
-    return kept
+    return WordWindow(kept) if isinstance(w, WordWindow) else kept
 
 
 def derive_times(w: Wordlike, count: int):
     for _ in range(count):
-        if w is None or (not isinstance(w, PeriodicWord) and len(word_text(w)) == 0):
+        if is_exhausted(w):
             return w
         w = derive(w)
     return w
@@ -404,10 +411,7 @@ def factor_set(w: Wordlike, length: int) -> frozenset[str]:
     if length < 1:
         raise ValueError("factor length must be >= 1")
     if isinstance(w, PeriodicWord):
-        p = w.period
-        reps = -(-(len(p) + length - 1) // len(p))
-        s = p * reps
-        return frozenset(s[i : i + length] for i in range(len(p)))
+        w = w.window(len(w.period) + length - 1)
     s = word_text(w)
     if length > len(s):
         raise ValueError("factor length exceeds word length")

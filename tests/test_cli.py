@@ -162,6 +162,21 @@ def test_manifest_replay_byte_identical(capsys):
     assert first == second
 
 
+def test_manifest_replay_without_timestamp(capsys):
+    # a run given no --timestamp records the clock's in its flags, so the
+    # flags alone replay it byte for byte
+    code, first, _ = run(capsys, "derive", "--word", "CACCCDBDCDC")
+    assert code == 0
+    manifest = json.loads(first)["manifest"]
+    assert manifest["flags"]["timestamp"] == manifest["timestamp"]
+    replay = ["derive"]
+    for key, value in manifest["flags"].items():
+        replay += [f"--{key}", str(value)]
+    code, second, _ = run(capsys, *replay)
+    assert code == 0
+    assert first == second
+
+
 def test_trace_exact_mode(capsys):
     doc = run_json(
         capsys, "trace", "--cot", "2+1*sqrt2", "--exact", "--start", "1/10,1/7",
