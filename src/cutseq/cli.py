@@ -4,7 +4,8 @@ Every output embeds a run manifest (command, flags, seed, version, timestamp);
 the flags always include the timestamp, taken from --timestamp or from the
 clock, so re-running the same command with the manifest's flags alone
 reproduces the output byte for byte.  Exit codes: 0 success,
-1 usage errors, 2 domain errors (vertex hits, ambiguity, inadmissible words).
+1 usage errors (malformed flags or flag values), 2 domain errors (vertex hits,
+ambiguity, inadmissible words).
 """
 
 from __future__ import annotations
@@ -62,6 +63,38 @@ DOMAIN_ERRORS = (
 )
 
 
+class UsageError(Exception):
+    """Malformed flag text; exits 1 like argparse's own usage errors."""
+
+
+def _parse_flag(flag: str, text: str, parse):
+    """parse(text), with any failure reported as a usage error naming the flag."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"argument {flag}: invalid value {text!r}") from None
+
+
+def _parse_angle(text: str) -> float:
+    t = text.strip()
+    if "pi" not in t:
+        return float(t)
+    # exact multiples like 3*pi/8 or pi/8
+    head, _, denom = t.partition("/")
+    coeff = head.replace("*", "").replace("pi", "").strip()
+    k = float(coeff) if coeff else 1.0
+    return k * math.pi / (float(denom) if denom else 1.0)
+
+
+def _parse_point(text: str, scalar) -> tuple:
+    x, y = (scalar(v) for v in text.split(","))
+    return x, y
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -73,17 +106,8 @@ def _parse_direction(theta: str | None, cot: str | None, n: int) -> Direction:
     if (theta is None) == (cot is None):
         raise ValueError("give exactly one of --theta or --cot")
     if cot is not None:
-        return ExactDirection.from_cot(Q2Scalar.parse(cot))
-    t = theta.strip()
-    if "pi" in t:
-        # exact multiples like 3*pi/8 or pi/8
-        head, _, denom = t.partition("/")
-        coeff = head.replace("*", "").replace("pi", "").strip()
-        k = float(coeff) if coeff else 1.0
-        value = k * math.pi / (float(denom) if denom else 1.0)
-    else:
-        value = float(t)
-    return ApproxDirection(value)
+        return ExactDirection.from_cot(_parse_flag("--cot", cot, Q2Scalar.parse))
+    return ApproxDirection(_parse_flag("--theta", theta, _parse_angle))
 
 
 def _direction_json(d: Direction) -> dict:
@@ -139,8 +163,8 @@ def _trace_setup(args, poly, exact: bool = False):
         raise ValueError("--exact tracing needs an exact --cot direction")
     rng = random.Random(args.seed)
     if args.start:
-        sx, sy = (Q2Scalar.parse(v) if exact else float(v) for v in args.start.split(","))
-        start = (sx, sy)
+        scalar = Q2Scalar.parse if exact else float
+        start = _parse_flag("--start", args.start, lambda t: _parse_point(t, scalar))
     elif exact:
         start = random_exact_interior_point(poly, rng)
     else:
@@ -242,7 +266,7 @@ def _cmd_seeds(args) -> None:
 
 
 def _cmd_families(args) -> None:
-    prefix = tuple(int(v) for v in args.prefix.split(","))
+    prefix = _parse_flag("--prefix", args.prefix, _parse_ints)
     seeds = None
     if args.seeds != "periodic":
         seeds = [_parse_any_word(t, args.n) for t in args.seeds.split(",")]
@@ -256,7 +280,7 @@ def _cmd_families(args) -> None:
 
 def _cmd_enumerate(args) -> None:
     if args.prefix:
-        source = tuple(int(v) for v in args.prefix.split(","))
+        source = _parse_flag("--prefix", args.prefix, _parse_ints)
     else:
         source = _parse_direction(args.theta, args.cot, args.n)
     factors = enumerate_factors(source, args.len, args.depth, args.n)
@@ -425,6 +449,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"cutseq: error: {exc}\n")
+        return 1
     except DOMAIN_ERRORS as exc:
         sys.stderr.write(f"cutseq: {exc}\n")
         return 2

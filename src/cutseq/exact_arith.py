@@ -289,13 +289,6 @@ def approx_from_exact(d: ExactDirection) -> ApproxDirection:
     return ApproxDirection(d.theta())
 
 
-def direction_from_vector(x: float, y: float) -> ApproxDirection:
-    if y < 0:
-        x, y = -x, -y
-    t = math.atan2(y, x)
-    return ApproxDirection(t if t >= 0 else t + math.pi)
-
-
 def moebius_apply(m: Mat2, d: Direction) -> Direction:
     """Projective action of m on a direction; total, preserves the [0, pi] chart.
 

@@ -22,11 +22,17 @@ from .exact_arith import (
     Direction,
     ExactDirection,
     Mat2,
-    Q2Scalar,
     direction_theta,
     moebius_apply,
 )
-from .polygon import cot_half_sector, isometry_nu, sector_cot_bounds, sector_of, veech_elements
+from .polygon import (
+    cot_half_sector,
+    is_exact,
+    isometry_nu,
+    sector_cot_bounds,
+    sector_of,
+    veech_elements,
+)
 
 
 class InvalidPrefixError(ValueError):
@@ -35,12 +41,10 @@ class InvalidPrefixError(ValueError):
 
 @dataclass(frozen=True)
 class FareyBranch:
-    """One branch: sector index, acting matrix, closed sector domain in mu."""
+    """One branch: sector index and acting matrix."""
 
     sector: int
     matrix: Mat2
-    mu_hi: object  # cot(i pi / 2n), None for +infinity (sector 0)
-    mu_lo: object  # cot((i+1) pi / 2n), None for -infinity (last sector)
 
 
 @lru_cache(maxsize=None)
@@ -48,11 +52,7 @@ def farey_branch(i: int, n: int) -> FareyBranch:
     if not 0 <= i < 2 * n:
         raise IndexError(f"branch index {i} outside 0..{2 * n - 1}")
     _, gamma = veech_elements(n)
-    matrix = gamma @ isometry_nu(i, n)
-    bounds = sector_cot_bounds(n)
-    mu_hi = None if i == 0 else bounds[i - 1]
-    mu_lo = None if i == 2 * n - 1 else bounds[i]
-    return FareyBranch(i, matrix, mu_hi, mu_lo)
+    return FareyBranch(i, gamma @ isometry_nu(i, n))
 
 
 def farey_apply(d: Direction, n: int) -> tuple[Direction, int]:
@@ -138,9 +138,8 @@ def _check_prefix(prefix: tuple[int, ...], n: int) -> None:
 
 
 def _sector_endpoints(i: int, n: int) -> tuple[Direction, Direction]:
-    bounds = sector_cot_bounds(n)
-    exact = n in (2, 4)
-    if exact:
+    if is_exact(n):
+        bounds = sector_cot_bounds(n)
         lo = ExactDirection.horizontal(True) if i == 0 else ExactDirection.from_cot(bounds[i - 1])
         hi = (
             ExactDirection.horizontal(False)
@@ -163,10 +162,6 @@ class SectorInterval:
 
     def theta_bounds(self) -> tuple[float, float]:
         return direction_theta(self.lo), direction_theta(self.hi)
-
-    def width(self) -> float:
-        a, b = self.theta_bounds()
-        return b - a
 
     def contains_theta(self, theta: float, slack: float = 1e-12) -> bool:
         a, b = self.theta_bounds()
@@ -201,12 +196,11 @@ def sector_interval(prefix: tuple[int, ...] | list[int], n: int = 4) -> SectorIn
 def fixed_point(tail: int, n: int) -> Direction:
     """The direction fixed by branch 1 (angle pi/2n) or branch 2n-1 (angle pi)."""
     if tail == 1:
-        c = cot_half_sector(n)
-        if isinstance(c, Q2Scalar):
-            return ExactDirection.from_cot(c)
+        if is_exact(n):
+            return ExactDirection.from_cot(cot_half_sector(n))
         return ApproxDirection(math.pi / (2 * n))
     if tail == 2 * n - 1:
-        if n in (2, 4):
+        if is_exact(n):
             return ExactDirection.horizontal(False)
         return ApproxDirection(math.pi)
     raise ValueError(f"no fixed branch with index {tail}")
@@ -245,14 +239,14 @@ class TerminationResult:
 def is_terminating(d: Direction, n: int, max_depth: int) -> TerminationResult:
     """Detect an eventually constant expansion tail within max_depth steps.
 
-    Exact directions (n in {2, 4}) give a proof: the orbit lands exactly on a
+    Exact directions (is_exact(n)) give a proof: the orbit lands exactly on a
     branch fixed point.  Floating directions are judged heuristically by a
     constant run over the last 10 sampled entries.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     exact = isinstance(d, ExactDirection)
-    fp_low = fixed_point(1, n) if n in (2, 4) else None
+    fp_low = fixed_point(1, n) if is_exact(n) else None
     entries: list[int] = []
     cur = d
     for k in range(max_depth):

@@ -3,8 +3,13 @@
 The polygon has 2n unit sides, is centered at the origin and carries its first
 side horizontally on top, vertices numbered clockwise from the top left.
 Opposite sides are parallel, carry the same letter and are identified by the
-translation through twice the side midpoint.  Vertex coordinates are exact
-Q(sqrt 2) values for n in {2, 4} and floats otherwise.
+translation through twice the side midpoint.
+
+Every exact quantity is read from one table, cos and sin of j pi / 4 in
+Q(sqrt 2): the vertices (vertex 0 turned clockwise by k pi / n), the dihedral
+isometries, the sector bounds cot(k pi / 2n) and the shear.  `is_exact(n)` is
+the one test of whether the table covers n (the square and the octagon); for
+every other n the same quantities are floats.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact_arith import HALF_SQRT2, ONE, ZERO, ApproxDirection, ExactDirection, Mat2, Q2Scalar
@@ -25,12 +29,34 @@ class InvalidN(ValueError):
     """Polygon side-pair count below 2."""
 
 
-def _q2(a, b=0) -> Q2Scalar:
-    return Q2Scalar(Fraction(a), Fraction(b))
+# -- the exact trig table ------------------------------------------------------
+
+_H = HALF_SQRT2
+# (cos, sin) of j pi / 4 for j = 0..7; the square (n = 2) reads every other entry
+_COS_SIN_PI_4 = (
+    (ONE, ZERO), (_H, _H), (ZERO, ONE), (-_H, _H),
+    (-ONE, ZERO), (-_H, -_H), (ZERO, -ONE), (_H, -_H),
+)
 
 
-_HALF = _q2(Fraction(1, 2))
-_APOTHEM_OCT = _q2(Fraction(1, 2), Fraction(1, 2))  # (1 + sqrt 2) / 2
+def is_exact(n: int) -> bool:
+    """Whether the 2n-gon's coordinates lie in Q(sqrt 2), i.e. n in {2, 4}."""
+    return n in (2, 4)
+
+
+def _unit(k: int, n: int) -> tuple:
+    """(cos k pi / n, sin k pi / n): exact Q(sqrt 2) scalars when is_exact(n)."""
+    if is_exact(n):
+        return _COS_SIN_PI_4[k * (4 // n) % 8]
+    return math.cos(k * math.pi / n), math.sin(k * math.pi / n)
+
+
+def _cot(k: int, n: int):
+    """cot(k pi / 2n) for 0 < k < 2n, exactly sin t / (1 - cos t) with t = k pi / n."""
+    if is_exact(n):
+        c, s = _unit(k, n)
+        return s / (1 - c)
+    return 1.0 / math.tan(k * math.pi / (2 * n))
 
 
 @dataclass(frozen=True)
@@ -108,14 +134,11 @@ def build_polygon(n: int) -> LabeledPolygon:
         phi = math.pi / 2 + math.pi / (2 * n) - k * math.pi / n
         verts.append((radius * math.cos(phi), radius * math.sin(phi)))
     exact = None
-    if n == 2:
-        h = _HALF
-        exact = ((-h, h), (h, h), (h, -h), (-h, -h))
-    elif n == 4:
-        h, c = _HALF, _APOTHEM_OCT
-        exact = (
-            (-h, c), (h, c), (c, h), (c, -h),
-            (h, -c), (-h, -c), (-c, -h), (-c, h),
+    if is_exact(n):
+        # vertex 0 is (-1/2, apothem); vertex k is vertex 0 turned clockwise by k pi / n
+        x0, y0 = -ONE / 2, cot_half_sector(n) / 2
+        exact = tuple(
+            (x0 * c + y0 * s, y0 * c - x0 * s) for c, s in (_unit(k, n) for k in range(2 * n))
         )
     poly = LabeledPolygon(n, tuple(verts), exact)
     for k in range(2 * n):
@@ -128,59 +151,23 @@ def build_polygon(n: int) -> LabeledPolygon:
 
 # -- dihedral isometries -----------------------------------------------------
 
-_NU_OCTAGON = None
-
-
-def _octagon_nus() -> tuple[Mat2, ...]:
-    global _NU_OCTAGON
-    if _NU_OCTAGON is None:
-        s = HALF_SQRT2
-        one, zero = ONE, ZERO
-        _NU_OCTAGON = (
-            Mat2(one, zero, zero, one),
-            Mat2(s, s, s, -s),
-            Mat2(s, s, -s, s),
-            Mat2(zero, one, one, zero),
-            Mat2(zero, one, -one, zero),
-            Mat2(-s, s, s, s),
-            Mat2(-s, s, -s, -s),
-            Mat2(-one, zero, zero, one),
-        )
-    return _NU_OCTAGON
-
-
-def _square_nus() -> tuple[Mat2, ...]:
-    one, zero = ONE, ZERO
-    return (
-        Mat2(one, zero, zero, one),
-        Mat2(zero, one, one, zero),
-        Mat2(zero, one, -one, zero),
-        Mat2(-one, zero, zero, one),
-    )
-
 
 @lru_cache(maxsize=None)
 def isometry_nu(i: int, n: int) -> Mat2:
     """The dihedral element carrying the closed sector i onto the closed sector 0.
 
     Even indices 2k are the clockwise rotations by k pi / n, odd indices 2k+1
-    the reflections in the line of angle (k+1) pi / 2n.  Exact entries for
-    n in {2, 4}, floats otherwise.
+    the reflections in the line of angle (k+1) pi / 2n.  Exact entries when
+    is_exact(n), floats otherwise.
     """
     if not 0 <= i < 2 * n:
         raise IndexError(f"isometry index {i} outside 0..{2 * n - 1}")
-    if n == 4:
-        return _octagon_nus()[i]
-    if n == 2:
-        return _square_nus()[i]
-    if i % 2 == 0:
-        k = i // 2
-        c, s = math.cos(k * math.pi / n), math.sin(k * math.pi / n)
-        return Mat2(c, s, -s, c)
     k = i // 2
-    phi = (k + 1) * math.pi / (2 * n)
-    c2, s2 = math.cos(2 * phi), math.sin(2 * phi)
-    return Mat2(c2, s2, s2, -c2)
+    if i % 2 == 0:
+        c, s = _unit(k, n)
+        return Mat2(c, s, -s, c)
+    c, s = _unit(k + 1, n)
+    return Mat2(c, s, s, -c)
 
 
 @lru_cache(maxsize=None)
@@ -189,48 +176,32 @@ def induced_permutation(i: int, n: int) -> LetterPermutation:
 
     Each side midpoint is mapped through the matrix and located among the side
     midpoints (up to the central symmetry identifying opposite sides); the
-    letter of the source pair goes to the letter of the image pair.
+    letter of the source pair goes to the letter of the image pair.  Exact
+    coordinates are matched by equality, floats within 1e-9.
     """
     if not 0 <= i < 2 * n:
         raise IndexError(f"isometry index {i} outside 0..{2 * n - 1}")
     poly = build_polygon(n)
     nu = isometry_nu(i, n)
+    exact = is_exact(n)
+    verts = poly.exact_vertices if exact else poly.vertices
+    ends = zip(verts, verts[1:] + verts[:1])
+    mids = [((ax + bx) / 2, (ay + by) / 2) for (ax, ay), (bx, by) in ends]
     images: list[str] = [""] * n
-    if nu.is_exact and poly.exact_vertices is not None:
-        mids = []
-        for k in range(2 * n):
-            (ax, ay), (bx, by) = poly.exact_side_endpoints(k)
-            mids.append(((ax + bx) / _q2(2), (ay + by) / _q2(2)))
-        for j in range(n):
-            mx, my = nu.apply_vector(*mids[j])
-            for k, (cx, cy) in enumerate(mids):
-                if (mx - cx).is_zero() and (my - cy).is_zero():
-                    images[j] = poly.letter(k)
-                    break
-            else:
-                raise AssertionError("isometry does not permute the sides")
-    else:
-        a, b, c, d = nu.as_floats()
-        mids = [poly.side_midpoint(k) for k in range(2 * n)]
-        for j in range(n):
-            mx, my = mids[j]
-            ix, iy = a * mx + b * my, c * mx + d * my
-            for k, (cx, cy) in enumerate(mids):
-                if math.hypot(ix - cx, iy - cy) < 1e-9:
-                    images[j] = poly.letter(k)
-                    break
-            else:
-                raise AssertionError("isometry does not permute the sides")
+    for j in range(n):
+        image = nu.apply_vector(*mids[j])
+        for k, mid in enumerate(mids):
+            if image == mid if exact else math.dist(image, mid) < 1e-9:
+                images[j] = poly.letter(k)
+                break
+        else:
+            raise AssertionError("isometry does not permute the sides")
     return LetterPermutation(tuple(images))
 
 
 def cot_half_sector(n: int):
     """cot(pi / 2n): exact 1 + sqrt 2 for the octagon, 1 for the square."""
-    if n == 4:
-        return _q2(1, 1)
-    if n == 2:
-        return _q2(1)
-    return 1.0 / math.tan(math.pi / (2 * n))
+    return _cot(1, n)
 
 
 @lru_cache(maxsize=None)
@@ -243,13 +214,8 @@ def veech_elements(n: int) -> tuple[Mat2, Mat2]:
     """
     if n < 2:
         raise InvalidN(f"need at least 2 side pairs, got {n}")
-    c = cot_half_sector(n)
-    if isinstance(c, Q2Scalar):
-        one, zero = ONE, ZERO
-        two_c = _q2(2) * c
-    else:
-        one, zero = 1.0, 0.0
-        two_c = 2.0 * c
+    one, zero = _unit(0, n)
+    two_c = 2 * cot_half_sector(n)
     sigma = Mat2(one, two_c, zero, one)
     gamma = Mat2(-one, two_c, zero, one)
     return sigma, gamma
@@ -257,19 +223,11 @@ def veech_elements(n: int) -> tuple[Mat2, Mat2]:
 
 # -- sectors -----------------------------------------------------------------
 
-_COT_BOUNDS_OCT = (
-    _q2(1, 1), _q2(1), _q2(-1, 1), _q2(0), _q2(1, -1), _q2(-1), _q2(-1, -1),
-)
-_COT_BOUNDS_SQ = (_q2(1), _q2(0), _q2(-1))
 
-
-def sector_cot_bounds(n: int):
-    """cot(k pi / 2n) for k = 1..2n-1, decreasing; exact for n in {2, 4}."""
-    if n == 4:
-        return _COT_BOUNDS_OCT
-    if n == 2:
-        return _COT_BOUNDS_SQ
-    return tuple(1.0 / math.tan(k * math.pi / (2 * n)) for k in range(1, 2 * n))
+@lru_cache(maxsize=None)
+def sector_cot_bounds(n: int) -> tuple:
+    """cot(k pi / 2n) for k = 1..2n-1, decreasing; exact when is_exact(n)."""
+    return tuple(_cot(k, n) for k in range(1, 2 * n))
 
 
 def sector_of(d, n: int) -> int:
@@ -280,13 +238,12 @@ def sector_of(d, n: int) -> int:
     slope comparisons.
     """
     if isinstance(d, ExactDirection):
-        if n not in (2, 4):
+        if not is_exact(n):
             raise ValueError("exact sector classification needs n in {2, 4}")
         if d.is_horizontal:
             return 0 if d.x.sign() > 0 else 2 * n - 1
         mu = d.mu()
-        bounds = sector_cot_bounds(n)
-        for i, bound in enumerate(bounds):
+        for i, bound in enumerate(sector_cot_bounds(n)):
             if mu > bound:
                 return i
         return 2 * n - 1

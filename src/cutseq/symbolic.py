@@ -82,10 +82,29 @@ def primitive_period(word: str) -> str:
 
 
 def least_rotation(word: str) -> str:
-    if not word:
-        return word
-    doubled = word + word
-    return min(doubled[i : i + len(word)] for i in range(len(word)))
+    """Lexicographically least rotation, in linear time.
+
+    Two candidate starts i and j share a common prefix of length k.  At the
+    first mismatch the larger candidate and the k starts after it are beaten,
+    so it jumps past them; i + j + k never exceeds 3 len(word).
+    """
+    m = len(word)
+    s = word + word
+    i, j, k = 0, 1, 0
+    while i < m and j < m and k < m:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
+    return s[i : i + m]
 
 
 @dataclass(frozen=True)

@@ -202,3 +202,25 @@ def test_derive_exhaustion_warning(capsys):
     doc = json.loads(out)
     assert doc["exhausted_at"] is not None
     assert "exhausted" in err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--theta", ["trace", "--theta", "pi/0"]),
+        ("--theta", ["trace", "--theta", "abc"]),
+        ("--cot", ["trace", "--cot", "1/0"]),
+        ("--cot", ["trace", "--cot", "1/0", "--exact"]),
+        ("--prefix", ["families", "--prefix", "0,x"]),
+        ("--prefix", ["enumerate", "--prefix", "0,x", "--len", "3"]),
+        ("--start", ["trace", "--theta", "0.5", "--start", "1,2,3"]),
+        ("--start", ["trace", "--cot", "1", "--exact", "--start", "1/2,x"]),
+    ],
+)
+def test_malformed_flag_is_usage_error(capsys, flag, argv):
+    # one stderr line naming the flag, no traceback, exit 1 like argparse errors
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"argument {flag}" in err

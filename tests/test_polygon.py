@@ -143,6 +143,13 @@ def test_geometric_matches_combinatorial_permutations():
             assert induced_permutation(i, n) == sector_permutation(i, n)
 
 
+def test_geometric_matches_combinatorial_permutations_float_n():
+    # n = 9..12 have float coordinates only: the 1e-9 midpoint match
+    for n in range(9, 13):
+        for i in range(2 * n):
+            assert induced_permutation(i, n) == sector_permutation(i, n)
+
+
 def test_identity_permutation_any_n():
     for n in (2, 3, 5, 7):
         assert induced_permutation(0, n).cycles() == "Id"
@@ -203,3 +210,40 @@ def test_polygon_json():
     assert doc["n"] == 4
     assert doc["side_labels"]["0"] == "A" and doc["side_labels"]["4"] == "A"
     assert len(doc["vertices"]) == 8
+
+
+# -- exact tables against the float formulas ---------------------------------------
+
+
+def close(exact, approx):
+    return all(abs(float(e) - f) < 1e-12 for e, f in zip(exact, approx, strict=True))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_exact_tables_match_float_formulas(n):
+    p = build_polygon(n)
+    for (ex, ey), (fx, fy) in zip(p.exact_vertices, p.vertices, strict=True):
+        assert close((ex, ey), (fx, fy))
+    for i in range(2 * n):
+        k = i // 2
+        if i % 2 == 0:
+            c, s = math.cos(k * math.pi / n), math.sin(k * math.pi / n)
+            formula = (c, s, -s, c)
+        else:
+            c, s = math.cos((k + 1) * math.pi / n), math.sin((k + 1) * math.pi / n)
+            formula = (c, s, s, -c)
+        assert isometry_nu(i, n).is_exact
+        assert close(isometry_nu(i, n).entries(), formula)
+    cots = [1.0 / math.tan(k * math.pi / (2 * n)) for k in range(1, 2 * n)]
+    assert close(sector_cot_bounds(n), cots)
+    assert close([cot_half_sector(n)], [cots[0]])
+    sigma, gamma = veech_elements(n)
+    assert close(sigma.entries(), (1.0, 2 * cots[0], 0.0, 1.0))
+    assert close(gamma.entries(), (-1.0, 2 * cots[0], 0.0, 1.0))
+
+
+def test_square_exact_unit_sides():
+    p = build_polygon(2)
+    for k in range(4):
+        (ax, ay), (bx, by) = p.exact_side_endpoints(k)
+        assert (bx - ax) * (bx - ax) + (by - ay) * (by - ay) == q2(1)

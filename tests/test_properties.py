@@ -1,5 +1,6 @@
-"""Property tests: the word kernel against naive per-letter references, and the
-text round trips of scalars and words."""
+"""Property tests: the word kernel and the least rotation against naive
+references, the Moebius action as a homomorphism, and the text round trips of
+scalars and words."""
 
 from collections import deque
 from fractions import Fraction
@@ -8,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutseq.coherence import sandwich_profile
-from cutseq.exact_arith import Q2Scalar
+from cutseq.exact_arith import ExactDirection, Q2Scalar, moebius_apply
+from cutseq.farey import farey_branch
 from cutseq.generation import generate
+from cutseq.polygon import isometry_nu
 from cutseq.symbolic import (
     LetterPermutation,
     PeriodicWord,
@@ -17,6 +20,7 @@ from cutseq.symbolic import (
     build_diagram,
     derive,
     format_word,
+    least_rotation,
     letters_for,
     parse_word,
     permute,
@@ -162,3 +166,66 @@ def test_word_format_parse_roundtrip(data):
     n = data.draw(st.integers(2, 26))
     w = data.draw(st.text(alphabet=letters_for(n), max_size=30))
     assert parse_word(format_word(w, n), n) == w
+
+
+# -- least rotation ----------------------------------------------------------------
+
+
+def naive_least_rotation(w):
+    return min(w[i:] + w[:i] for i in range(len(w)))
+
+
+def repetitive_words():
+    """A short block repeated many times, optionally followed by a short tail."""
+    block = st.text(alphabet="ABC", min_size=1, max_size=4)
+    tail = st.text(alphabet="ABC", max_size=3)
+    return st.builds(lambda b, r, t: b * r + t, block, st.integers(1, 40), tail)
+
+
+@FAST
+@given(st.one_of(st.text(alphabet="ABCD", min_size=1, max_size=60), repetitive_words()))
+@example("A")
+@example("DDDDDDD")
+@example("ABABABABAB")
+@example("ABABABABA")
+@example("AAAAAAAB")
+@example("BAAAAAAA")
+@example("ABAABAABAABAAB")
+def test_least_rotation_matches_min_over_rotations(w):
+    assert least_rotation(w) == naive_least_rotation(w)
+
+
+# -- the Moebius action ------------------------------------------------------------
+
+
+def exact_matrices(n):
+    return [isometry_nu(i, n) for i in range(2 * n)] + [
+        farey_branch(i, n).matrix for i in range(2 * n)
+    ]
+
+
+def exact_directions():
+    scalars = st.builds(
+        Q2Scalar, st.fractions(max_denominator=50), st.fractions(max_denominator=50)
+    )
+    return st.one_of(
+        st.builds(ExactDirection.from_cot, scalars),
+        st.builds(ExactDirection.horizontal, st.booleans()),
+    )
+
+
+def projective(d):
+    """The horizontal directions with +x and with -x are one projective point."""
+    return ExactDirection.horizontal(True) if d.is_horizontal else d
+
+
+@FAST
+@given(st.data())
+def test_moebius_action_is_homomorphism(data):
+    n = data.draw(st.sampled_from((2, 4)))
+    a = data.draw(st.sampled_from(exact_matrices(n)))
+    b = data.draw(st.sampled_from(exact_matrices(n)))
+    d = data.draw(exact_directions())
+    left = moebius_apply(a @ b, d)
+    right = moebius_apply(a, moebius_apply(b, d))
+    assert projective(left) == projective(right)
