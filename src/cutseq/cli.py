@@ -104,10 +104,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_direction(theta: str | None, cot: str | None, n: int) -> Direction:
     if (theta is None) == (cot is None):
-        raise ValueError("give exactly one of --theta or --cot")
+        raise UsageError("give exactly one of --theta or --cot")
     if cot is not None:
         return ExactDirection.from_cot(_parse_flag("--cot", cot, Q2Scalar.parse))
-    return ApproxDirection(_parse_flag("--theta", theta, _parse_angle))
+    # an angle outside [0, pi] is malformed flag text like any other
+    return _parse_flag("--theta", theta, lambda t: ApproxDirection(_parse_angle(t)))
 
 
 def _direction_json(d: Direction) -> dict:

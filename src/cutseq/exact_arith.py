@@ -1,12 +1,13 @@
 """Exact arithmetic in Q(sqrt 2) and the projective action of 2x2 matrices on directions.
 
-Scalars are pairs of arbitrary-precision rationals (a, b) representing a + b*sqrt(2),
-kept in canonical (fully reduced) form by fractions.Fraction.  Sign tests are decided
-exactly, never through floating point, so sector classifications downstream carry no
-tolerance.  Directions live on the projective line: either an exact Q(sqrt 2) vector
-normalized to (mu, 1) or (+-1, 0), or a floating angle in [0, pi].  The two horizontal
-points (1, 0) and (-1, 0) are kept distinct because the renormalization map in angle
-coordinates sends 0 to pi.
+A scalar a + b*sqrt(2) is held as three Python ints (p, q, d) with value
+(p + q*sqrt(2)) / d, d > 0 and gcd(p, q, d) = 1, reduced once per operation.
+Sign tests are decided exactly on integer cross-products, never through floating
+point, so sector classifications downstream carry no tolerance.  Directions live on
+the projective line: either an exact Q(sqrt 2) vector normalized to (mu, 1) or
+(+-1, 0), or a floating angle in [0, pi].  The two horizontal points (1, 0) and
+(-1, 0) are kept distinct because the renormalization map in angle coordinates
+sends 0 to pi.
 """
 
 from __future__ import annotations
@@ -23,54 +24,77 @@ class SingularMatrixError(ZeroDivisionError):
     """Inversion of a matrix with zero determinant."""
 
 
-def _frac(value: int | str | Fraction) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-@dataclass(frozen=True)
 class Q2Scalar:
-    """An element a + b*sqrt(2) of Q(sqrt 2), with exact rational a and b."""
+    """An element a + b*sqrt(2) of Q(sqrt 2), held as the triple (p + q*sqrt(2)) / d.
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    The triple is canonical (d > 0, gcd(p, q, d) = 1), so equal values have equal
+    ints.  Immutable, like Fraction: a and b are read-only Fraction properties.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
+    __slots__ = ("_p", "_q", "_d")
+
+    def __new__(cls, a: int | str | float | Fraction = 0, b: int | str | float | Fraction = 0):
+        a, b = Fraction(a), Fraction(b)
+        return _reduced(
+            a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+        )
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._d)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Q2Scalar):
+            return self._p == other._p and self._q == other._q and self._d == other._d
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._p, self._q, self._d))
+
+    def __repr__(self) -> str:
+        return f"Q2Scalar(a={self.a!r}, b={self.b!r})"
 
     # -- ring/field structure ------------------------------------------------
 
+    def _cross(self, o: Q2Scalar, s: int) -> tuple[int, int, int]:
+        """The unreduced triple of self + s * o for s = +-1, by integer cross-products."""
+        d, e = self._d, o._d
+        if d == e:
+            return self._p + s * o._p, self._q + s * o._q, d
+        return self._p * e + s * o._p * d, self._q * e + s * o._q * d, d * e
+
     def __add__(self, other: Q2Scalar | int) -> Q2Scalar:
-        other = _coerce(other)
-        return Q2Scalar(self.a + other.a, self.b + other.b)
+        return _reduced(*self._cross(_coerce(other), 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> Q2Scalar:
-        return Q2Scalar(-self.a, -self.b)
+        return _reduced(-self._p, -self._q, self._d)
 
     def __sub__(self, other: Q2Scalar | int) -> Q2Scalar:
-        other = _coerce(other)
-        return Q2Scalar(self.a - other.a, self.b - other.b)
+        return _reduced(*self._cross(_coerce(other), -1))
 
     def __rsub__(self, other: int) -> Q2Scalar:
         return _coerce(other) - self
 
     def __mul__(self, other: Q2Scalar | int) -> Q2Scalar:
-        other = _coerce(other)
-        return Q2Scalar(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        o = _coerce(other)
+        p, q, r, s = self._p, self._q, o._p, o._q
+        return _reduced(p * r + 2 * q * s, p * s + q * r, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Q2Scalar:
-        # (a + b s)^-1 = (a - b s) / (a^2 - 2 b^2); the norm vanishes only at 0.
-        norm = self.a * self.a - 2 * self.b * self.b
+        # d / (p + q s) = d (p - q s) / (p^2 - 2 q^2); the norm vanishes only at 0.
+        p, q, d = self._p, self._q, self._d
+        norm = p * p - 2 * q * q
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        return Q2Scalar(self.a / norm, -self.b / norm)
+        return _reduced(p * d, -q * d, norm)
 
     def __truediv__(self, other: Q2Scalar | int) -> Q2Scalar:
         return self * _coerce(other).inverse()
@@ -81,35 +105,34 @@ class Q2Scalar:
     # -- exact order ---------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign, via sign analysis of a, b and comparison of a^2 with 2 b^2."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # a and b have opposite signs; the larger square wins.
-        return sa if self.a * self.a > 2 * self.b * self.b else sb
+        """Exact sign; d > 0, so it is the sign of p + q*sqrt(2)."""
+        return _sign(self._p, self._q)
+
+    def _cmp(self, other: Q2Scalar | int) -> int:
+        """Sign of self - other, with no reduction and no intermediate scalar."""
+        p, q, _ = self._cross(_coerce(other), -1)
+        return _sign(p, q)
 
     def __lt__(self, other: Q2Scalar | int) -> bool:
-        return (self - _coerce(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other: Q2Scalar | int) -> bool:
-        return (self - _coerce(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: Q2Scalar | int) -> bool:
-        return (self - _coerce(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other: Q2Scalar | int) -> bool:
-        return (self - _coerce(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     # -- conversions ---------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * SQRT2_FLOAT
+        # int true division rounds correctly, as float(Fraction) does
+        return self._p / self._d + (self._q / self._d) * SQRT2_FLOAT
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -146,16 +169,33 @@ class Q2Scalar:
         return cls(a, b)
 
 
+def _reduced(p: int, q: int, d: int) -> Q2Scalar:
+    """The scalar (p + q*sqrt(2)) / d for ints with d != 0, in canonical form."""
+    g = math.gcd(p, q, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    s = object.__new__(Q2Scalar)
+    s._p, s._q, s._d = p, q, d
+    return s
+
+
+def _sign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt(2) for ints p, q: if their signs differ, the larger square wins."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sq == 0 or sp == sq:
+        return sp
+    return sp if p * p > 2 * q * q else sq
+
+
+def _coerce(value: Q2Scalar | int | Fraction | float) -> Q2Scalar:
+    return value if isinstance(value, Q2Scalar) else Q2Scalar(value)
+
+
 ZERO = Q2Scalar()
-ONE = Q2Scalar(Fraction(1))
-SQRT2 = Q2Scalar(Fraction(0), Fraction(1))
-HALF_SQRT2 = Q2Scalar(Fraction(0), Fraction(1, 2))
-
-
-def _coerce(value: Q2Scalar | int | Fraction) -> Q2Scalar:
-    if isinstance(value, Q2Scalar):
-        return value
-    return Q2Scalar(_frac(value))
+ONE = Q2Scalar(1)
+HALF_SQRT2 = Q2Scalar(0, Fraction(1, 2))
 
 
 def _sign_of(value) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact_arith import (
@@ -278,7 +277,7 @@ def square_farey(t):
     """The classical map t/(1-t) on [0, 1/2] and (1-t)/t on [1/2, 1]."""
     if not 0 <= t <= 1:
         raise ValueError("argument must lie in [0, 1]")
-    if t <= Fraction(1, 2) if isinstance(t, Fraction) else t <= 0.5:
+    if 2 * t <= 1:  # exact for Fractions, and for floats in [0, 1] too
         return t / (1 - t)
     return (1 - t) / t
 

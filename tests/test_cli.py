@@ -215,6 +215,8 @@ def test_derive_exhaustion_warning(capsys):
         ("--prefix", ["enumerate", "--prefix", "0,x", "--len", "3"]),
         ("--start", ["trace", "--theta", "0.5", "--start", "1,2,3"]),
         ("--start", ["trace", "--cot", "1", "--exact", "--start", "1/2,x"]),
+        ("--theta", ["trace", "--theta", "4"]),
+        ("--theta", ["trace", "--theta", "-0.1"]),
     ],
 )
 def test_malformed_flag_is_usage_error(capsys, flag, argv):
@@ -224,3 +226,20 @@ def test_malformed_flag_is_usage_error(capsys, flag, argv):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert f"argument {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace"],
+        ["trace", "--theta", "0.5", "--cot", "1"],
+        ["expand-direction"],
+    ],
+)
+def test_direction_flag_count_is_usage_error(capsys, argv):
+    # neither or both of --theta and --cot: one stderr line, exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "exactly one of --theta or --cot" in err

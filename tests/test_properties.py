@@ -1,15 +1,17 @@
-"""Property tests: the word kernel and the least rotation against naive
-references, the Moebius action as a homomorphism, and the text round trips of
-scalars and words."""
+"""Property tests: the word kernel, the least rotation and the Q(sqrt 2)
+scalar against naive references, the Moebius action as a homomorphism, and the
+text round trips of scalars and words."""
 
+import math
 from collections import deque
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutseq.coherence import sandwich_profile
-from cutseq.exact_arith import ExactDirection, Q2Scalar, moebius_apply
+from cutseq.exact_arith import ExactDirection, Mat2, Q2Scalar, SingularMatrixError, moebius_apply
 from cutseq.farey import farey_branch
 from cutseq.generation import generate
 from cutseq.polygon import isometry_nu
@@ -193,6 +195,141 @@ def repetitive_words():
 @example("ABAABAABAABAAB")
 def test_least_rotation_matches_min_over_rotations(w):
     assert least_rotation(w) == naive_least_rotation(w)
+
+
+# -- the Q(sqrt 2) scalar ------------------------------------------------------------
+
+
+class PairQ2:
+    """Naive reference: a + b*sqrt(2) as two Fractions, every operation spelled out."""
+
+    def __init__(self, a, b):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return PairQ2(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return PairQ2(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return PairQ2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        norm = self.a * self.a - 2 * self.b * self.b
+        if norm == 0:
+            raise ZeroDivisionError
+        return PairQ2(self.a / norm, -self.b / norm)
+
+    def sign(self):
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sb == 0:
+            return sa
+        if sa == 0 or sa == sb:
+            return sb
+        return sa if self.a * self.a > 2 * self.b * self.b else sb
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(2.0)
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        tail = f"{abs(self.b)}*sqrt2"
+        if self.a == 0:
+            return tail if self.b > 0 else "-" + tail
+        return f"{self.a}{'+' if self.b > 0 else '-'}{tail}"
+
+    def __repr__(self):
+        return f"Q2Scalar(a={self.a!r}, b={self.b!r})"
+
+
+BIG = 2**200
+
+
+def coefficients():
+    """Rationals with numerators and denominators up to 200 bits, 0 and +-1 drawn often."""
+    numerators = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-BIG, BIG))
+    denominators = st.one_of(st.just(1), st.integers(1, BIG))
+    return st.builds(Fraction, numerators, denominators)
+
+
+def near_zero_pairs():
+    """(a, b) with a within 2 of -b*sqrt(2): the sign rests on a^2 against 2 b^2."""
+
+    def pair(q, delta, den, s):
+        return Fraction(s * (math.isqrt(2 * q * q) + delta), den), Fraction(-s * q, den)
+
+    signs = st.sampled_from((1, -1))
+    return st.builds(pair, st.integers(1, BIG), st.integers(-2, 2), st.integers(1, BIG), signs)
+
+
+def scalar_pairs():
+    return st.one_of(st.tuples(coefficients(), coefficients()), near_zero_pairs())
+
+
+def same(x, ref):
+    """x has ref's value, in canonical form, with ref's sign and text."""
+    canonical = Q2Scalar(ref.a, ref.b)
+    return (
+        (x.a, x.b) == (ref.a, ref.b)
+        and x == canonical
+        and hash(x) == hash(canonical)
+        and x.sign() == ref.sign()
+        and repr(x) == repr(ref)
+    )
+
+
+@FAST
+@given(scalar_pairs(), scalar_pairs())
+@example((0, 0), (0, 0))
+@example((1, 0), (-1, 0))
+@example((0, 1), (0, -1))
+@example((1, 1), (-1, 1))
+@example((3, -2), (Fraction(-3, 7), Fraction(2, 7)))
+@example((-6, 5), (6, -5))
+def test_q2scalar_matches_fraction_pairs(x, y):
+    qx, qy, rx, ry = Q2Scalar(*x), Q2Scalar(*y), PairQ2(*x), PairQ2(*y)
+    assert same(qx, rx) and same(qy, ry)
+    assert same(qx + qy, rx + ry) and same(qx - qy, rx - ry) and same(qx * qy, rx * ry)
+    assert same(-qx, PairQ2(0, 0) - rx)
+    for q, r in ((qx, rx), (qy, ry)):
+        if r.a == 0 and r.b == 0:
+            with pytest.raises(ZeroDivisionError):
+                q.inverse()
+            with pytest.raises(ZeroDivisionError):
+                qx / q
+        else:
+            assert same(q.inverse(), r.inverse())
+            assert same(qx / q, rx * r.inverse())
+    s = (rx - ry).sign()
+    assert (qx < qy, qx <= qy, qx > qy, qx >= qy) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (qx == qy) == (s == 0)
+    # a against -b*sqrt(2): the comparison itself must decide the hard sign of x
+    assert (Q2Scalar(x[0]) > Q2Scalar(0, -x[1])) == (rx.sign() > 0)
+    assert float(qx).hex() == float(rx).hex()
+    assert str(qx) == str(rx)
+    assert Q2Scalar.parse(str(qx)) == qx
+
+
+@FAST
+@given(scalar_pairs(), scalar_pairs(), coefficients())
+def test_q2scalar_equal_values_share_repr_and_hash(x, y, k):
+    qx, qy = Q2Scalar(*x), Q2Scalar(*y)
+    # the same value reached along different routes
+    for other in ((qx + qy) - qy, (qx * qy + qx) - qx * qy, Q2Scalar(x[0]) + Q2Scalar(0, x[1])):
+        assert other == qx and repr(other) == repr(qx) and hash(other) == hash(qx)
+    if k != 0:
+        scaled = Q2Scalar(x[0] * k, x[1] * k) / Q2Scalar(k)
+        assert scaled == qx and hash(scaled) == hash(qx)
+
+
+@FAST
+@given(scalar_pairs(), scalar_pairs(), scalar_pairs())
+def test_singular_exact_matrix_is_refused(x, y, k):
+    qx, qy, qk = Q2Scalar(*x), Q2Scalar(*y), Q2Scalar(*k)
+    with pytest.raises(SingularMatrixError):
+        Mat2(qx, qy, qk * qx, qk * qy).inverse()
 
 
 # -- the Moebius action ------------------------------------------------------------
