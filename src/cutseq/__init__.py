@@ -29,6 +29,7 @@ from .polygon import (
 )
 from .symbolic import (
     AmbiguousDiagramError,
+    CutseqError,
     InadmissibleWordError,
     LetterPermutation,
     PeriodicWord,

@@ -4,8 +4,9 @@ Every output embeds a run manifest (command, flags, seed, version, timestamp);
 the flags always include the timestamp, taken from --timestamp or from the
 clock, so re-running the same command with the manifest's flags alone
 reproduces the output byte for byte.  Exit codes: 0 success,
-1 usage errors (malformed flags or flag values), 2 domain errors (vertex hits,
-ambiguity, inadmissible words).
+1 usage errors (malformed flags or flag values), 2 domain errors (a CutseqError:
+vertex hits, ambiguity, inadmissible words).  Any other exception is a bug and
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ from . import __version__
 from .exact_arith import ApproxDirection, Direction, ExactDirection, Q2Scalar, direction_theta
 from .farey import is_terminating, itinerary, sector_interval
 from .generation import build_family, enumerate_factors, generate, periodic_seeds
-from .coherence import (
-    InsufficientWindowError,
-    NotCoherentError,
-    check_coherent,
-    recognize_direction,
-    renormalize,
-)
-from .polygon import InvalidN, build_polygon
+from .coherence import check_coherent, recognize_direction, renormalize
+from .polygon import build_polygon
 from .symbolic import (
-    AmbiguousDiagramError,
+    CutseqError,
     InadmissibleWordError,
     PeriodicWord,
     build_diagram,
@@ -43,23 +38,11 @@ from .symbolic import (
 )
 from .tracer import (
     TraceConfig,
-    VertexHit,
     plot_svg,
     random_exact_interior_point,
     random_interior_point,
     trace,
     trace_word,
-)
-
-DOMAIN_ERRORS = (
-    VertexHit,
-    AmbiguousDiagramError,
-    InadmissibleWordError,
-    NotCoherentError,
-    InsufficientWindowError,
-    InvalidN,
-    ValueError,
-    ZeroDivisionError,
 )
 
 
@@ -79,7 +62,7 @@ def _parse_angle(text: str) -> float:
     t = text.strip()
     if "pi" not in t:
         return float(t)
-    # exact multiples like 3*pi/8 or pi/8
+    # multiples like 3*pi/8 or pi/8, read as a float angle
     head, _, denom = t.partition("/")
     coeff = head.replace("*", "").replace("pi", "").strip()
     k = float(coeff) if coeff else 1.0
@@ -102,7 +85,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_direction(theta: str | None, cot: str | None, n: int) -> Direction:
+def _parse_direction(args) -> Direction:
+    theta, cot = args.theta, args.cot
     if (theta is None) == (cot is None):
         raise UsageError("give exactly one of --theta or --cot")
     if cot is not None:
@@ -136,32 +120,32 @@ def _word_json(w, n: int) -> str:
     return format_word(word_text(w), n)
 
 
-def _emit(payload: dict, args, command: str) -> None:
+def _emit(payload: dict, args) -> None:
     # resolved before the flags are recorded, so the flags alone replay the run
     args.timestamp = args.timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat()
     flags = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command") and v is not None
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "flags": flags,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
         "timestamp": args.timestamp,
     }
-    doc = {"schema": f"cutseq/{command}/1", "manifest": manifest}
+    doc = {"schema": f"cutseq/{args.command}/1", "manifest": manifest}
     doc.update(payload)
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-# -- subcommands ----------------------------------------------------------------
+# -- subcommands: each returns its JSON payload (plot writes its SVG itself) ------
 
 
 def _trace_setup(args, poly, exact: bool = False):
     """Direction, start point (given or seeded), its JSON form and the trace config."""
-    d = _parse_direction(args.theta, args.cot, args.n)
+    d = _parse_direction(args)
     if exact and not isinstance(d, ExactDirection):
-        raise ValueError("--exact tracing needs an exact --cot direction")
+        raise CutseqError("--exact tracing needs an exact --cot direction")
     rng = random.Random(args.seed)
     if args.start:
         scalar = Q2Scalar.parse if exact else float
@@ -177,11 +161,11 @@ def _trace_setup(args, poly, exact: bool = False):
     return d, start, start_json, cfg
 
 
-def _cmd_trace(args) -> None:
+def _cmd_trace(args) -> dict:
     poly = build_polygon(args.n)
     d, start, start_json, cfg = _trace_setup(args, poly, args.exact)
     word, log = trace(poly, start, d, cfg)
-    payload = {
+    return {
         "direction": _direction_json(d),
         "start": start_json,
         "seed": args.seed,
@@ -190,7 +174,6 @@ def _cmd_trace(args) -> None:
             {"letter": c.letter, "point": list(c.point), "side": c.side} for c in log.crossings
         ],
     }
-    _emit(payload, args, "trace")
 
 
 def _cmd_plot(args) -> None:
@@ -200,7 +183,7 @@ def _cmd_plot(args) -> None:
     sys.stdout.write(plot_svg(log, poly) + "\n")
 
 
-def _cmd_derive(args) -> None:
+def _cmd_derive(args) -> dict:
     w = _parse_any_word(args.word, args.n)
     out = w
     exhausted_at = None
@@ -217,32 +200,33 @@ def _cmd_derive(args) -> None:
     if args.times > 1:
         payload["times"] = args.times
         payload["exhausted_at"] = exhausted_at
-    _emit(payload, args, "derive")
+    return payload
 
 
-def _cmd_diagrams(args) -> None:
+def _cmd_diagrams(args) -> dict:
     indices = [args.index] if args.index is not None else list(range(2 * args.n))
     diagrams = {}
     for i in indices:
         d = build_diagram(i, args.n)
         diagrams[str(i)] = sorted(a + b for a, b in d.edges)
-    _emit({"n": args.n, "diagrams": diagrams}, args, "diagrams")
+    return {"n": args.n, "diagrams": diagrams}
 
 
-def _cmd_recognize(args) -> None:
+def _cmd_recognize(args) -> dict:
     text = args.word
     if args.word_file:
-        with open(args.word_file, encoding="ascii") as fh:
+        # an undecodable byte becomes U+FFFD, which the alphabet check rejects
+        with open(args.word_file, encoding="ascii", errors="replace") as fh:
             text = fh.read().strip()
     w = _parse_any_word(text, args.n)
     iv = recognize_direction(w, args.depth, args.n)
     payload = {"diagrams": list(iv.prefix)}
     payload.update(_interval_json(iv))
-    _emit(payload, args, "recognize")
+    return payload
 
 
-def _cmd_expand(args) -> None:
-    d = _parse_direction(args.theta, args.cot, args.n)
+def _cmd_expand(args) -> dict:
+    d = _parse_direction(args)
     seq = itinerary(d, args.n, args.depth)
     iv = sector_interval(seq, args.n)
     term = is_terminating(d, args.n, max(args.depth, 10))
@@ -252,192 +236,161 @@ def _cmd_expand(args) -> None:
         "termination_certainty": term.certainty,
     }
     payload.update(_interval_json(iv))
-    _emit(payload, args, "expand-direction")
+    return payload
 
 
-def _cmd_generate(args) -> None:
+def _cmd_generate(args) -> dict:
     w = _parse_any_word(args.word, args.n)
-    out = generate(args.src, args.dst, w, args.n)
-    _emit({"generated": _word_json(out, args.n)}, args, "generate")
+    return {"generated": _word_json(generate(args.src, args.dst, w, args.n), args.n)}
 
 
-def _cmd_seeds(args) -> None:
-    seeds = periodic_seeds(args.k, args.n)
-    _emit({"seeds": sorted(_word_json(w, args.n) for w in seeds)}, args, "seeds")
+def _cmd_seeds(args) -> dict:
+    return {"seeds": sorted(_word_json(w, args.n) for w in periodic_seeds(args.k, args.n))}
 
 
-def _cmd_families(args) -> None:
+def _cmd_families(args) -> dict:
     prefix = _parse_flag("--prefix", args.prefix, _parse_ints)
     seeds = None
     if args.seeds != "periodic":
         seeds = [_parse_any_word(t, args.n) for t in args.seeds.split(",")]
     fam = build_family(prefix, seeds, args.n)
-    _emit(
-        {"prefix": list(prefix), "words": sorted(_word_json(w, args.n) for w in fam)},
-        args,
-        "families",
-    )
+    return {"prefix": list(prefix), "words": sorted(_word_json(w, args.n) for w in fam)}
 
 
-def _cmd_enumerate(args) -> None:
+def _cmd_enumerate(args) -> dict:
     if args.prefix:
         source = _parse_flag("--prefix", args.prefix, _parse_ints)
     else:
-        source = _parse_direction(args.theta, args.cot, args.n)
+        source = _parse_direction(args)
     factors = enumerate_factors(source, args.len, args.depth, args.n)
-    _emit(
-        {"length": args.len, "count": len(factors), "factors": sorted(factors)},
-        args,
-        "enumerate",
-    )
+    return {"length": args.len, "count": len(factors), "factors": sorted(factors)}
 
 
-def _cmd_check_coherence(args) -> None:
+def _cmd_check_coherence(args) -> dict:
     w = _parse_any_word(args.word, args.n)
+    explicit = args.i is not None and args.j is not None
     steps = []
-    coherent = True
-    tr = renormalize(w, args.depth + 1, args.n, start_diagram=args.start_diagram)
-    if tr.failure is not None and tr.depth < 2:
-        raise InadmissibleWordError(f"renormalization failed: {tr.failure}")
-    for k in range(min(args.depth, tr.depth - 1)):
-        i, j = tr.steps[k].diagram, tr.steps[k + 1].diagram
-        verdict = check_coherent(tr.steps[k].word, i, j, args.n)
-        steps.append(
-            {"step": k, "i": i, "j": j, "accepted": verdict.accepted, "failed": verdict.failed}
-        )
-        coherent = coherent and verdict.accepted
-    if not steps:
-        # single-step check with explicit pair
-        if args.i is None or args.j is None:
-            raise ValueError("window too short for chained checks; give --i and --j")
-    if args.i is not None and args.j is not None:
+    if args.depth != 0 or not explicit:  # only --depth 0 with a pair asks for no chain
+        tr = renormalize(w, args.depth + 1, args.n, start_diagram=args.start_diagram)
+        if tr.failure is not None and tr.depth < 2:
+            raise InadmissibleWordError(f"renormalization failed: {tr.failure}")
+        for k in range(min(args.depth, tr.depth - 1)):
+            i, j = tr.steps[k].diagram, tr.steps[k + 1].diagram
+            verdict = check_coherent(tr.steps[k].word, i, j, args.n)
+            steps.append(
+                {"step": k, "i": i, "j": j, "accepted": verdict.accepted, "failed": verdict.failed}
+            )
+    if explicit:
         verdict = check_coherent(w, args.i, args.j, args.n)
         steps.insert(
             0,
             {"step": "explicit", "i": args.i, "j": args.j, "accepted": verdict.accepted,
              "failed": verdict.failed},
         )
-        coherent = verdict.accepted and (coherent or not steps)
-    _emit({"coherent": coherent, "steps": steps}, args, "check-coherence")
+    elif not steps:
+        raise CutseqError("window too short for chained checks; give --i and --j")
+    return {"coherent": all(s["accepted"] for s in steps), "steps": steps}
 
 
-def _cmd_complexity(args) -> None:
+def _cmd_complexity(args) -> dict:
     poly = build_polygon(args.n)
-    d = _parse_direction(args.theta, args.cot, args.n)
+    d = _parse_direction(args)
     rng = random.Random(args.seed)
     start = random_interior_point(poly, rng)
     cfg = TraceConfig(max_crossings=args.crossings)
     word = trace_word(poly, start, d, cfg)
     counts = factor_counts_upto(word, args.len)
-    _emit(
-        {
-            "crossings": args.crossings,
-            "counts": {str(k): v for k, v in sorted(counts.items())},
-            "linear_bound": {str(k): (args.n - 1) * k + 1 for k in sorted(counts)},
-        },
-        args,
-        "complexity",
-    )
+    return {
+        "crossings": args.crossings,
+        "counts": {str(k): v for k, v in sorted(counts.items())},
+        "linear_bound": {str(k): (args.n - 1) * k + 1 for k in sorted(counts)},
+    }
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="cutseq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_default=4):
-        sp.add_argument("--n", type=int, default=n_default, help="side-pair count (alphabet size)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--timestamp", default=None, help="override manifest timestamp (replay)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", type=int, default=4, help="side-pair count (alphabet size)")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--timestamp", default=None, help="override manifest timestamp (replay)")
+    direction = argparse.ArgumentParser(add_help=False)
+    direction.add_argument("--theta", default=None, help="radians, or k*pi/m as a float angle")
+    direction.add_argument(
+        "--cot", default=None,
+        help="exact inverse slope p/q+r/s*sqrt2; a negative one as --cot=-1/2+3/5*sqrt2",
+    )
 
-    def direction_flags(sp):
-        sp.add_argument("--theta", default=None, help="angle in radians, or k*pi/m")
-        sp.add_argument("--cot", default=None, help="exact inverse slope p/q+r/s*sqrt2")
+    def command(name, func, help, *parents):
+        sp = sub.add_parser(name, help=help, parents=[common, *parents])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("trace", help="trace a trajectory and print its cutting sequence")
-    common(sp)
-    direction_flags(sp)
-    sp.add_argument("--start", default=None, help="x,y (default: seeded random interior point)")
-    sp.add_argument("--crossings", type=int, default=100)
-    sp.add_argument("--epsilon", type=float, default=1e-9)
+    def path_flags(sp, crossings: int):  # not a parent: a parent's --crossings has one default
+        sp.add_argument(
+            "--start", default=None, help="x,y (default: seeded random interior point)"
+        )
+        sp.add_argument("--crossings", type=int, default=crossings)
+        sp.add_argument("--epsilon", type=float, default=1e-9)
+
+    sp = command("trace", _cmd_trace, "trace a trajectory and print its cutting sequence",
+                 direction)
+    path_flags(sp, crossings=100)
     sp.add_argument(
         "--exact", action="store_true",
         help="exact Q(sqrt 2) tracing; needs --cot and, if given, an exact --start",
     )
-    sp.set_defaults(func=_cmd_trace)
 
-    sp = sub.add_parser("plot", help="SVG picture of a traced trajectory")
-    common(sp)
-    direction_flags(sp)
-    sp.add_argument("--start", default=None)
-    sp.add_argument("--crossings", type=int, default=50)
-    sp.add_argument("--epsilon", type=float, default=1e-9)
-    sp.set_defaults(func=_cmd_plot)
+    sp = command("plot", _cmd_plot, "SVG picture of a traced trajectory", direction)
+    path_flags(sp, crossings=50)
 
-    sp = sub.add_parser("derive", help="derived word (sandwiched letters)")
-    common(sp)
+    sp = command("derive", _cmd_derive, "derived word (sandwiched letters)")
     sp.add_argument("--word", required=True)
     sp.add_argument("--times", type=int, default=1)
-    sp.set_defaults(func=_cmd_derive)
 
-    sp = sub.add_parser("diagrams", help="transition diagram edge lists")
-    common(sp)
+    sp = command("diagrams", _cmd_diagrams, "transition diagram edge lists")
     sp.add_argument("--index", type=int, default=None)
-    sp.set_defaults(func=_cmd_diagrams)
 
-    sp = sub.add_parser("recognize", help="direction interval from a symbol window")
-    common(sp)
-    sp.add_argument("--word", default=None)
-    sp.add_argument("--word-file", default=None)
+    sp = command("recognize", _cmd_recognize, "direction interval from a symbol window")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--word", default=None)
+    source.add_argument("--word-file", default=None)
     sp.add_argument("--depth", type=int, default=5)
-    sp.set_defaults(func=_cmd_recognize)
 
-    sp = sub.add_parser("expand-direction", help="itinerary / continued fraction of a direction")
-    common(sp)
-    direction_flags(sp)
+    sp = command("expand-direction", _cmd_expand, "itinerary / continued fraction of a direction",
+                 direction)
     sp.add_argument("--depth", type=int, default=10)
-    sp.set_defaults(func=_cmd_expand)
 
-    sp = sub.add_parser("generate", help="apply a generation operator")
-    common(sp)
+    sp = command("generate", _cmd_generate, "apply a generation operator")
     sp.add_argument("--from", dest="src", type=int, required=True)
     sp.add_argument("--to", dest="dst", type=int, required=True)
     sp.add_argument("--word", required=True)
-    sp.set_defaults(func=_cmd_generate)
 
-    sp = sub.add_parser("seeds", help="periodic seed words next to a sector")
-    common(sp)
+    sp = command("seeds", _cmd_seeds, "periodic seed words next to a sector")
     sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=_cmd_seeds)
 
-    sp = sub.add_parser("families", help="generated word families along a prefix")
-    common(sp)
+    sp = command("families", _cmd_families, "generated word families along a prefix")
     sp.add_argument("--prefix", required=True, help="comma separated entries, e.g. 0,1,6")
     sp.add_argument("--seeds", default="periodic")
-    sp.set_defaults(func=_cmd_families)
 
-    sp = sub.add_parser("enumerate", help="all factors of cutting sequences in a direction")
-    common(sp)
-    direction_flags(sp)
+    sp = command("enumerate", _cmd_enumerate, "all factors of cutting sequences in a direction",
+                 direction)
     sp.add_argument("--prefix", default=None)
     sp.add_argument("--len", type=int, required=True)
     sp.add_argument("--depth", type=int, default=30)
-    sp.set_defaults(func=_cmd_enumerate)
 
-    sp = sub.add_parser("check-coherence", help="coherence verdict along the renormalization")
-    common(sp)
+    sp = command("check-coherence", _cmd_check_coherence,
+                 "coherence verdict along the renormalization")
     sp.add_argument("--word", required=True)
     sp.add_argument("--depth", type=int, default=1)
     sp.add_argument("--i", type=int, default=None)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--start-diagram", type=int, default=None)
-    sp.set_defaults(func=_cmd_check_coherence)
 
-    sp = sub.add_parser("complexity", help="factor counts of a traced word")
-    common(sp)
-    direction_flags(sp)
+    sp = command("complexity", _cmd_complexity, "factor counts of a traced word", direction)
     sp.add_argument("--len", type=int, default=20)
     sp.add_argument("--crossings", type=int, default=100000)
-    sp.set_defaults(func=_cmd_complexity)
 
     return p
 
@@ -449,13 +402,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        args.func(args)
+        payload = args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"cutseq: error: {exc}\n")
         return 1
-    except DOMAIN_ERRORS as exc:
+    except CutseqError as exc:
         sys.stderr.write(f"cutseq: {exc}\n")
         return 2
+    if payload is not None:
+        _emit(payload, args)
     return 0
 
 

@@ -19,6 +19,7 @@ from .farey import SectorInterval, sector_interval
 from .generation import generate, sandwich_group, synthesize_table
 from .symbolic import (
     AmbiguousDiagramError,
+    CutseqError,
     InadmissibleWordError,
     PeriodicWord,
     Wordlike,
@@ -33,11 +34,11 @@ from .symbolic import (
 )
 
 
-class NotCoherentError(ValueError):
+class NotCoherentError(CutseqError):
     """The word is not a generated image for the requested sector."""
 
 
-class InsufficientWindowError(ValueError):
+class InsufficientWindowError(CutseqError):
     """The window ran out of letters before the requested depth."""
 
 
@@ -248,7 +249,7 @@ def renormalize(
     window running out of letters, reporting which.
     """
     if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+        raise CutseqError("max_depth must be >= 1")
     trace = RenormalizationTrace()
     cur: Wordlike | None = w
     for k in range(max_depth):

@@ -32,9 +32,10 @@ from .polygon import (
     sector_of,
     veech_elements,
 )
+from .symbolic import CutseqError, check_sector
 
 
-class InvalidPrefixError(ValueError):
+class InvalidPrefixError(CutseqError):
     """An expansion prefix violating the admissible-entry constraints."""
 
 
@@ -48,8 +49,7 @@ class FareyBranch:
 
 @lru_cache(maxsize=None)
 def farey_branch(i: int, n: int) -> FareyBranch:
-    if not 0 <= i < 2 * n:
-        raise IndexError(f"branch index {i} outside 0..{2 * n - 1}")
+    check_sector(i, n)
     _, gamma = veech_elements(n)
     return FareyBranch(i, gamma @ isometry_nu(i, n))
 
@@ -63,7 +63,7 @@ def farey_apply(d: Direction, n: int) -> tuple[Direction, int]:
 def itinerary(d: Direction, n: int, depth: int) -> tuple[int, ...]:
     """Sector indices of d, F(d), F^2(d), ... with half-open sector convention."""
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise CutseqError("depth must be >= 1")
     out = []
     cur = d
     for _ in range(depth):
@@ -89,7 +89,7 @@ class Expansion:
 
     def __post_init__(self) -> None:
         if self.tail is not None and self.tail not in (1, 2 * self.n - 1):
-            raise ValueError(f"constant tail must be 1 or {2 * self.n - 1}")
+            raise CutseqError(f"constant tail must be 1 or {2 * self.n - 1}")
 
     @property
     def in_s_star(self) -> bool:
@@ -124,7 +124,7 @@ class Expansion:
         if depth <= len(self.entries):
             return self.entries[:depth]
         if self.tail is None:
-            raise ValueError(f"expansion has only {len(self.entries)} entries")
+            raise CutseqError(f"expansion has only {len(self.entries)} entries")
         return self.entries + (self.tail,) * (depth - len(self.entries))
 
 
@@ -202,7 +202,7 @@ def fixed_point(tail: int, n: int) -> Direction:
         if is_exact(n):
             return ExactDirection.horizontal(False)
         return ApproxDirection(math.pi)
-    raise ValueError(f"no fixed branch with index {tail}")
+    raise CutseqError(f"no fixed branch with index {tail}")
 
 
 def direction_from_expansion(exp: Expansion, depth: int) -> SectorInterval:
@@ -243,7 +243,7 @@ def is_terminating(d: Direction, n: int, max_depth: int) -> TerminationResult:
     constant run over the last 10 sampled entries.
     """
     if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+        raise CutseqError("max_depth must be >= 1")
     exact = isinstance(d, ExactDirection)
     fp_low = fixed_point(1, n) if is_exact(n) else None
     entries: list[int] = []
@@ -276,7 +276,7 @@ def is_terminating(d: Direction, n: int, max_depth: int) -> TerminationResult:
 def square_farey(t):
     """The classical map t/(1-t) on [0, 1/2] and (1-t)/t on [1/2, 1]."""
     if not 0 <= t <= 1:
-        raise ValueError("argument must lie in [0, 1]")
+        raise CutseqError("argument must lie in [0, 1]")
     if 2 * t <= 1:  # exact for Fractions, and for floats in [0, 1] too
         return t / (1 - t)
     return (1 - t) / t

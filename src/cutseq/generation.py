@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .farey import InvalidPrefixError, _check_prefix, itinerary
 from .symbolic import (
+    CutseqError,
     InadmissibleWordError,
     PeriodicWord,
     TransitionDiagram,
@@ -35,7 +36,7 @@ from .symbolic import (
 )
 
 
-class SynthesisFailure(RuntimeError):
+class SynthesisFailure(CutseqError):
     """No (or no unique) interpolating word satisfies the sandwich constraints."""
 
 
@@ -111,7 +112,7 @@ def synthesize_table(n: int) -> InterpolationTable:
     the sandwiching letter of L2.
     """
     if n < 3:
-        raise ValueError("generation needs an alphabet of at least 3 letters")
+        raise CutseqError("generation needs an alphabet of at least 3 letters")
     letters_for(n)
     d0 = build_diagram(0, n)
     words: dict[tuple[int, str, str], str] = {}
@@ -174,6 +175,7 @@ def periodic_seeds(k: int, n: int = 4) -> frozenset[PeriodicWord]:
     These are the cutting sequences of the two cylinder directions bounding
     sector k; for the octagon each set has exactly four elements.
     """
+    letters_for(n)  # before k % 2n, which n = 0 would divide by zero
     k = k % (2 * n)
     seen: set[PeriodicWord] = set()
     for diagram in (boundary_diagram(k, n), boundary_diagram((k + 1) % (2 * n), n)):
@@ -224,7 +226,7 @@ def enumerate_factors(
     word-length safety valve (the set has long stabilized by then).
     """
     if length < 1 or depth < 1:
-        raise ValueError("length and depth must be >= 1")
+        raise CutseqError("length and depth must be >= 1")
     if isinstance(direction_or_prefix, (tuple, list)):
         entries = tuple(direction_or_prefix)
         depth = len(entries) - 1

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact_arith import HALF_SQRT2, ONE, ZERO, ApproxDirection, ExactDirection, Mat2, Q2Scalar
-from .symbolic import LetterPermutation, letter_at, letters_for
+from .symbolic import CutseqError, LetterPermutation, check_sector, letter_at, letters_for
 
 CONSTRUCTION_TOL = 1e-12
 
 
-class InvalidN(ValueError):
+class InvalidN(CutseqError):
     """Polygon side-pair count below 2."""
 
 
@@ -85,7 +85,7 @@ class LabeledPolygon:
     def exact_side_endpoints(self, side: int):
         v = self.exact_vertices
         if v is None:
-            raise ValueError("polygon has no exact coordinates for this n")
+            raise CutseqError("polygon has no exact coordinates for this n")
         return v[side], v[(side + 1) % (2 * self.n)]
 
     def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
@@ -100,7 +100,7 @@ class LabeledPolygon:
 
     def contains_exact(self, x: Q2Scalar, y: Q2Scalar) -> bool:
         if self.exact_vertices is None:
-            raise ValueError("polygon has no exact coordinates for this n")
+            raise CutseqError("polygon has no exact coordinates for this n")
         for k in range(2 * self.n):
             (ax, ay), (bx, by) = self.exact_side_endpoints(k)
             ex, ey = bx - ax, by - ay
@@ -160,8 +160,7 @@ def isometry_nu(i: int, n: int) -> Mat2:
     the reflections in the line of angle (k+1) pi / 2n.  Exact entries when
     is_exact(n), floats otherwise.
     """
-    if not 0 <= i < 2 * n:
-        raise IndexError(f"isometry index {i} outside 0..{2 * n - 1}")
+    check_sector(i, n)
     k = i // 2
     if i % 2 == 0:
         c, s = _unit(k, n)
@@ -179,8 +178,7 @@ def induced_permutation(i: int, n: int) -> LetterPermutation:
     letter of the source pair goes to the letter of the image pair.  Exact
     coordinates are matched by equality, floats within 1e-9.
     """
-    if not 0 <= i < 2 * n:
-        raise IndexError(f"isometry index {i} outside 0..{2 * n - 1}")
+    check_sector(i, n)
     poly = build_polygon(n)
     nu = isometry_nu(i, n)
     exact = is_exact(n)
@@ -239,7 +237,7 @@ def sector_of(d, n: int) -> int:
     """
     if isinstance(d, ExactDirection):
         if not is_exact(n):
-            raise ValueError("exact sector classification needs n in {2, 4}")
+            raise CutseqError("exact sector classification needs n in {2, 4}")
         if d.is_horizontal:
             return 0 if d.x.sign() > 0 else 2 * n - 1
         mu = d.mu()

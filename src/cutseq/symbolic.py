@@ -22,17 +22,35 @@ MAX_ALPHABET = len(LETTERS)
 _LABELS = str.maketrans({c: f"L{j} " for j, c in enumerate(LETTERS, 1)})
 
 
-class InadmissibleWordError(ValueError):
+class CutseqError(ValueError):
+    """A hypothesis of the theory fails on the given input: the root of cutseq's own errors.
+
+    The CLI reports these in one stderr line (exit 2); any other exception is a
+    bug and keeps its traceback.
+    """
+
+
+class InadmissibleWordError(CutseqError):
     """Word is not admissible in any transition diagram (or not in the required one)."""
 
 
-class AmbiguousDiagramError(ValueError):
+class AmbiguousDiagramError(CutseqError):
     """Word is admissible in several diagrams and no choice was supplied."""
+
+
+class SectorIndexError(CutseqError, IndexError):
+    """A sector (diagram, isometry or branch) index outside 0..2n-1."""
+
+
+def check_sector(i: int, n: int) -> None:
+    """The one range check of a sector index: 0 <= i < 2n."""
+    if not 0 <= i < 2 * n:
+        raise SectorIndexError(f"sector index {i} outside 0..{2 * n - 1}")
 
 
 def letters_for(n: int) -> str:
     if not 2 <= n <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {n}")
+        raise CutseqError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {n}")
     return LETTERS[:n]
 
 
@@ -49,7 +67,7 @@ def check_word(word: str, n: int) -> None:
     alphabet = letters_for(n)
     bad = set(word) - set(alphabet)
     if bad:
-        raise ValueError(f"letters {sorted(bad)} outside alphabet of size {n}")
+        raise CutseqError(f"letters {sorted(bad)} outside alphabet of size {n}")
 
 
 def format_word(word: str, n: int) -> str:
@@ -62,10 +80,13 @@ def format_word(word: str, n: int) -> str:
 def parse_word(text: str, n: int) -> str:
     s = text.strip()
     if s.startswith("per:"):
-        raise ValueError("periodic marker not allowed here")
+        raise CutseqError("periodic marker not allowed here")
     if "L" in s and any(ch.isdigit() for ch in s):
         parts = s.replace(",", " ").split()
-        word = "".join(letter_at(int(p.lstrip("L"))) for p in parts)
+        try:
+            word = "".join(letter_at(int(p.lstrip("L"))) for p in parts)
+        except ValueError as exc:  # a label that is not a number
+            raise CutseqError(str(exc)) from None
     else:
         word = s.replace(" ", "")
     check_word(word, n)
@@ -116,7 +137,7 @@ class PeriodicWord:
     @classmethod
     def of(cls, word: str) -> PeriodicWord:
         if not word:
-            raise ValueError("empty period")
+            raise CutseqError("empty period")
         return cls(least_rotation(primitive_period(word)))
 
     def __str__(self) -> str:
@@ -225,7 +246,7 @@ class LetterPermutation:
     def __post_init__(self) -> None:
         letters = letters_for(len(self.images))
         if sorted(self.images) != sorted(letters):
-            raise ValueError(f"not a bijection of {len(self.images)} letters: {self.images}")
+            raise CutseqError(f"not a bijection of {len(self.images)} letters: {self.images}")
         object.__setattr__(self, "_table", str.maketrans(letters, "".join(self.images)))
 
     @property
@@ -292,8 +313,7 @@ def sector_permutation(i: int, n: int) -> LetterPermutation:
     polygon.induced_permutation computes the same bijection geometrically; the
     two are cross-checked in the tests.
     """
-    if not 0 <= i < 2 * n:
-        raise IndexError(f"sector index {i} outside 0..{2 * n - 1}")
+    check_sector(i, n)
     letters_for(n)
     k = i // 2
     if i % 2 == 0:
@@ -312,8 +332,7 @@ def build_diagram(i: int, n: int) -> TransitionDiagram:
     diagram for sector i is the sector-0 diagram with every vertex relabelled
     by the inverse of the renormalizing permutation.
     """
-    if not 0 <= i < 2 * n:
-        raise IndexError(f"diagram index {i} outside 0..{2 * n - 1}")
+    check_sector(i, n)
     letters_for(n)
     base = set()
     for j in range(1, n + 1):
@@ -425,15 +444,20 @@ def square_derive(word: str) -> str:
 # -- factors -----------------------------------------------------------------
 
 
+def _check_factor_length(length: int, available: int, name: str) -> None:
+    """The one bound on a factor length: 1 <= length <= the letters available."""
+    if length < 1:
+        raise CutseqError(f"{name} must be >= 1")
+    if length > available:
+        raise CutseqError(f"{name} exceeds word length")
+
+
 def factor_set(w: Wordlike, length: int) -> frozenset[str]:
     """All distinct contiguous subwords of the given length."""
-    if length < 1:
-        raise ValueError("factor length must be >= 1")
     if isinstance(w, PeriodicWord):
         w = w.window(len(w.period) + length - 1)
     s = word_text(w)
-    if length > len(s):
-        raise ValueError("factor length exceeds word length")
+    _check_factor_length(length, len(s), "factor length")
     return frozenset(s[i : i + length] for i in range(len(s) - length + 1))
 
 
@@ -449,8 +473,7 @@ def factor_counts_upto(word: str, max_length: int) -> dict[int, int]:
     of the long factor set plus the handful of windows inside the tail.
     """
     m = len(word)
-    if max_length > m:
-        raise ValueError("max_length exceeds word length")
+    _check_factor_length(max_length, m, "max_length")
     top = {word[i : i + max_length] for i in range(m - max_length + 1)}
     counts: dict[int, int] = {max_length: len(top)}
     for length in range(1, max_length):

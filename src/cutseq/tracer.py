@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from .exact_arith import ONE, ZERO, Direction, ExactDirection, Q2Scalar, direction_theta
 from .polygon import LabeledPolygon
+from .symbolic import CutseqError
 
 
-class VertexHit(RuntimeError):
+class VertexHit(CutseqError):
     """The trajectory meets a vertex (within epsilon, or exactly in exact mode)."""
 
     def __init__(self, crossing: int, side: int):
@@ -37,11 +38,11 @@ class TraceConfig:
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise CutseqError("epsilon must be positive")
         if self.max_crossings < 1:
-            raise ValueError("max_crossings must be >= 1")
+            raise CutseqError("max_crossings must be >= 1")
         if self.mode not in ("approx", "exact"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise CutseqError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -69,16 +70,17 @@ def _run(
 
     Away from vertices exactly one exit side (outward normal . v > 0) meets the
     ray with side parameter 0 <= u <= 1; the crossing lands on that side, then
-    re-enters from the opposite one.
+    re-enters from the opposite one.  The start must lie in the closed polygon
+    (boundary included, as every re-entry point is): exactly, or within epsilon.
     """
     if cfg.mode == "exact":
         if poly.exact_vertices is None:
-            raise ValueError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
+            raise CutseqError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
         if not isinstance(d, ExactDirection):
             raise TypeError("exact tracing needs an exact direction")
         endpoints, vx, vy, zero, one = poly.exact_side_endpoints, d.x, d.y, ZERO, ONE
         px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
-        lo, hi = ZERO, ONE
+        lo, hi, slack = ZERO, ONE, ZERO
     else:
         t = direction_theta(d)
         endpoints, vx, vy, zero, one = poly.side_endpoints, math.cos(t), math.sin(t), 0.0, 1.0
@@ -86,11 +88,16 @@ def _run(
         # u <= lo or u >= hi is u < epsilon or u > 1 - epsilon; with the exact
         # bounds (ZERO, ONE) the same test is u == 0 or u == 1
         lo, hi = math.nextafter(cfg.epsilon, 0.0), math.nextafter(1.0 - cfg.epsilon, 2.0)
+        slack = cfg.epsilon
     sides = []
     for k in range(poly.side_count):
         (ax, ay), (bx, by) = endpoints(k)
         ex, ey = bx - ax, by - ay
-        denom = ex * vy - ey * vx  # outward normal (-ey, ex) of a clockwise polygon, dotted with v
+        # outward normal (-ey, ex) of a clockwise polygon; sides have unit length,
+        # so its product with the start offset is the start's distance outside
+        if not (px - ax) * -ey + (py - ay) * ex <= slack:  # NaN fails too
+            raise CutseqError(f"start point lies outside side {k} of the polygon")
+        denom = ex * vy - ey * vx  # the outward normal dotted with v
         if denom > zero:
             sides.append((ax, ay, ex, ey, one / denom, -(ax + bx), -(ay + by), poly.letter(k), k))
     letters: list[str] = []
@@ -173,7 +180,7 @@ def random_exact_interior_point(
 def plot_svg(log: TraceLog, poly: LabeledPolygon, size: int = 480) -> str:
     """SVG 1.1 picture of the polygon, its side labels and the logged segments."""
     if not log.crossings:
-        raise ValueError("empty trace log")
+        raise CutseqError("empty trace log")
     bound = max(max(abs(x), abs(y)) for x, y in poly.vertices) * 1.15
     scale = size / (2 * bound)
 

@@ -243,3 +243,69 @@ def test_direction_flag_count_is_usage_error(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "exactly one of --theta or --cot" in err
+
+
+WINDOW = "AADBDAAAADBDBCBDBDAAAADBDAAAADBDAAAADBDBCBDBDAAADBDBDAAADB"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--theta", "1.5", "--start", "0,5", "--crossings", "5"],
+        ["trace", "--theta", "0.5", "--start", "9,9"],
+        ["trace", "--cot", "1/3", "--exact", "--start", "0,5"],
+        ["plot", "--theta", "0.5", "--start", "0,5"],
+        ["diagrams", "--index", "99"],
+        ["check-coherence", "--word", WINDOW, "--i", "99", "--j", "1"],
+        ["complexity", "--theta", "0.9", "--len", "0", "--crossings", "1000"],
+    ],
+)
+def test_domain_error_is_one_line(capsys, argv):
+    # a start off the surface, a sector index outside 0..2n-1, a factor length 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("cutseq: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recognize", "--depth", "3"],
+        ["recognize", "--word", WINDOW, "--word-file", "window.txt"],
+    ],
+)
+def test_recognize_needs_exactly_one_word_source(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "--word" in err and "Traceback" not in err
+
+
+def test_check_coherence_explicit_pair_needs_no_chain(capsys):
+    # "AB" is admissible in four diagrams, so its chain cannot even start
+    doc = run_json(
+        capsys, "check-coherence", "--word", "AB", "--i", "2", "--j", "1", "--depth", "0"
+    )
+    assert doc["steps"] == [
+        {"step": "explicit", "i": 2, "j": 1, "accepted": True, "failed": None}
+    ]
+    assert doc["coherent"] is True
+    # without a pair the chain is all there is, and its failure is reported
+    code, out, err = run(capsys, "check-coherence", "--word", "AB", "--depth", "0")
+    assert (code, out, err) == (2, "", "cutseq: renormalization failed: ambiguous\n")
+    code, out, err = run(capsys, "check-coherence", "--word", WINDOW, "--depth", "0")
+    assert code == 2 and "give --i and --j" in err
+
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, IndexError])
+def test_internal_error_keeps_traceback(capsys, monkeypatch, error):
+    # only CutseqError is a domain error; anything else is a bug and propagates
+    import cutseq.cli as cli
+
+    def broken(w):
+        raise error("bug")
+
+    monkeypatch.setattr(cli, "derive", broken)
+    with pytest.raises(error, match="bug"):
+        main(["derive", "--word", "AD"])

@@ -16,6 +16,7 @@ from cutseq.generation import (
 )
 from cutseq.polygon import build_polygon
 from cutseq.symbolic import (
+    CutseqError,
     InadmissibleWordError,
     PeriodicWord,
     build_diagram,
@@ -268,3 +269,9 @@ def test_family_members_are_periodic_cutting_sequences():
                     realized = True
                     break
             assert realized, (prefix, str(w))
+
+
+@pytest.mark.parametrize("n", [0, -1, 1, 27])
+def test_seeds_reject_alphabet_size(n):
+    with pytest.raises(CutseqError, match="alphabet size"):
+        periodic_seeds(1, n)

@@ -5,6 +5,7 @@ import pytest
 
 from cutseq.symbolic import (
     AmbiguousDiagramError,
+    CutseqError,
     InadmissibleWordError,
     LetterPermutation,
     PeriodicWord,
@@ -254,3 +255,14 @@ def test_long_traced_word_is_admissible_in_unique_diagram():
             poly, random_interior_point(poly, rng), d, TraceConfig(max_crossings=10_000)
         )
         assert admissible_diagrams(word, 4) == (sector_of(d, 4),)
+
+
+def test_factor_length_bounds_shared():
+    # factor_set and factor_counts_upto share one bound on the length
+    for length in (0, -1):
+        with pytest.raises(CutseqError, match="must be >= 1"):
+            factor_set("ADAD", length)
+        with pytest.raises(CutseqError, match="must be >= 1"):
+            factor_counts_upto("ADAD", length)
+    with pytest.raises(CutseqError, match="exceeds word length"):
+        factor_counts_upto("ADAD", 5)

@@ -8,7 +8,7 @@ import pytest
 from cutseq.exact_arith import ApproxDirection, ExactDirection, Q2Scalar
 from cutseq.farey import farey_apply
 from cutseq.polygon import build_polygon, sector_of
-from cutseq.symbolic import build_diagram, factor_set
+from cutseq.symbolic import CutseqError, build_diagram, factor_set
 from cutseq.tracer import (
     TraceConfig,
     VertexHit,
@@ -232,3 +232,22 @@ def test_plot_empty_log_rejected():
 
     with pytest.raises(ValueError):
         plot_svg(TraceLog(ApproxDirection(0.5), (0.0, 0.0), []), OCT)
+
+
+def test_start_outside_polygon_rejected():
+    top = (1 + math.sqrt(2)) / 2  # the octagon's top side lies on y = top
+    d, cfg = ApproxDirection(1.5), TraceConfig(max_crossings=5)
+    for start in [(0.0, 5.0), (9.0, 9.0), (0.0, top + 1e-6), (math.nan, 0.0)]:
+        with pytest.raises(CutseqError, match="outside"):
+            trace(OCT, start, d, cfg)
+    # the closed polygon is allowed, within epsilon: every re-entry lies on its boundary
+    for start in [(0.0, top), (0.0, top + 1e-10), (0.0, -top)]:
+        assert len(trace_word(OCT, start, d, cfg)) == 5
+    exact_d = ExactDirection.from_cot(q2(Fraction(1, 3)))
+    exact_cfg = TraceConfig(max_crossings=5, mode="exact")
+    exact_top = q2(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(CutseqError, match="outside"):
+        trace_word(OCT, (q2(0), exact_top + q2(Fraction(1, 10**12))), exact_d, exact_cfg)
+    with pytest.raises(CutseqError, match="outside"):
+        trace_word(build_polygon(2), (q2(0), q2(5)), exact_d, exact_cfg)
+    assert len(trace_word(OCT, (q2(0), exact_top), exact_d, exact_cfg)) == 5
