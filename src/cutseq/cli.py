@@ -216,8 +216,11 @@ def _cmd_recognize(args) -> dict:
     text = args.word
     if args.word_file:
         # an undecodable byte becomes U+FFFD, which the alphabet check rejects
-        with open(args.word_file, encoding="ascii", errors="replace") as fh:
-            text = fh.read().strip()
+        try:
+            with open(args.word_file, encoding="ascii", errors="replace") as fh:
+                text = fh.read().strip()
+        except OSError as exc:
+            raise UsageError(f"argument --word-file: {exc.strerror}: {args.word_file!r}") from None
     w = _parse_any_word(text, args.n)
     iv = recognize_direction(w, args.depth, args.n)
     payload = {"diagrams": list(iv.prefix)}

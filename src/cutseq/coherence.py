@@ -9,6 +9,13 @@ implemented independently: one through sandwich profiles and groups, one
 through explicit regeneration.  Iterating normalize-and-derive yields the
 sequence of admissible sectors, which is the expansion of the direction of any
 trajectory realizing the word.
+
+Each level asks two alphabet questions: which letter pairs occur (C0, C2, the
+admissible sectors) and which letters sandwich which (C1, the sandwich
+profile).  On long words both are answered by one substring search per pair or
+sandwich of present letters (see the symbolic module docstring; short words
+and large alphabets keep one zip, which is cheaper there), so a level's only
+per-letter pass in Python is `derive`.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .symbolic import (
     InadmissibleWordError,
     PeriodicWord,
     Wordlike,
+    _search_alphabet,
     _wrapped,
     admissible_diagrams,
     build_diagram,
@@ -46,14 +54,24 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
     """For each letter, the set of letters sandwiching it somewhere in the word.
 
     Only interior occurrences count: the boundary letters of a window have
-    unknown neighbours.  Periodic words wrap around.
+    unknown neighbours.  Periodic words wrap around.  The letters come in the
+    order of their first sandwiched occurrence.
     """
-    prof: dict[str, set[str]] = {}
-    # dict.fromkeys: distinct pairs, letters in order of first sandwiched occurrence
     t = _wrapped(w)
-    for letter, left in dict.fromkeys((b, a) for a, b, c in zip(t, t[1:], t[2:]) if a == c):
-        prof.setdefault(letter, set()).add(left)
-    return {letter: frozenset(v) for letter, v in prof.items()}
+    letters = _search_alphabet(t)
+    if letters is None:
+        prof: dict[str, set[str]] = {}
+        # dict.fromkeys: distinct pairs, letters in order of first sandwiched occurrence
+        for letter, left in dict.fromkeys((b, a) for a, b, c in zip(t, t[1:], t[2:]) if a == c):
+            prof.setdefault(letter, set()).add(left)
+        return {letter: frozenset(v) for letter, v in prof.items()}
+    found = []
+    for b in letters:
+        # one C search per sandwich aba; the first position of each letter orders the keys
+        hits = [(i, a) for a in letters if (i := t.find(a + b + a)) >= 0]
+        if hits:
+            found.append((min(hits)[0], b, frozenset(a for _, a in hits)))
+    return {b: lefts for _, b, lefts in sorted(found)}
 
 
 def fitting_groups(profile: dict[str, frozenset[str]], n: int) -> tuple[int, ...]:
@@ -153,13 +171,7 @@ def decompose_candidates(w: Wordlike, i: int, n: int = 4) -> list[tuple[int, Wor
     v = derive(nw)
     if is_exhausted(v):
         return []
-    out = []
-    for j in range(1, 2 * n):
-        if not build_diagram(j, n).admits(v):
-            continue
-        if _core_matches(nw, j, v, n):
-            out.append((j, v))
-    return out
+    return [(j, v) for j in admissible_diagrams(v, n) if j >= 1 and _core_matches(nw, j, v, n)]
 
 
 def decompose_generation(w: Wordlike, i: int, n: int = 4) -> tuple[int, Wordlike]:

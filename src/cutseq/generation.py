@@ -137,6 +137,12 @@ def synthesize_table(n: int) -> InterpolationTable:
     return InterpolationTable(n, words)
 
 
+@lru_cache(maxsize=None)
+def _insertions(k: int, n: int) -> dict[tuple[str, str], str]:
+    """Edge (a, b) of diagram k -> a + its interpolating word: generate's join pieces."""
+    return {(a, b): a + w for (j, a, b), w in synthesize_table(n).words.items() if j == k}
+
+
 # -- generation operators ------------------------------------------------------
 
 
@@ -151,13 +157,13 @@ def generate(k: int, i: int, w: Wordlike, n: int = 4) -> Wordlike:
         raise InvalidPrefixError(f"source diagram {k} outside 1..{2 * n - 1}")
     if not 0 <= i <= 2 * n - 1:
         raise InvalidPrefixError(f"target diagram {i} outside 0..{2 * n - 1}")
-    table = synthesize_table(n)
+    insertions = _insertions(k, n)
     if not build_diagram(k, n).admits(w):
         raise InadmissibleWordError(f"word {word_text(w)!r} not admissible in diagram {k}")
     s = word_text(w)
     if not s:
         return w
-    body = "".join([a + table.word(k, a, b) for a, b in _pairs(w)])
+    body = "".join(map(insertions.__getitem__, _pairs(w)))
     if isinstance(w, PeriodicWord):
         out: Wordlike = PeriodicWord.of(body)
     elif isinstance(w, WordWindow):
@@ -229,6 +235,7 @@ def enumerate_factors(
         raise CutseqError("length and depth must be >= 1")
     if isinstance(direction_or_prefix, (tuple, list)):
         entries = tuple(direction_or_prefix)
+        _check_prefix(entries, n)
         depth = len(entries) - 1
     else:
         entries = itinerary(direction_or_prefix, n, depth + 1)

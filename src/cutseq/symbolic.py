@@ -9,6 +9,17 @@ period in its lexicographically least rotation.  The wrap rule, defined once in
 `_wrapped`: a period's last letter precedes its first, so every letter of a
 period is interior.  Each per-letter pass runs over `zip` of the wrapped text
 and its shifts.
+
+Alphabet questions go through substring search instead.  A word has at most n^2
+distinct pairs `ab` and n^2 distinct sandwiches `aba`, so `transition_set` asks
+`a + b in t` once per pair of letters present in the wrapped text (the wrap
+adds no pair a period lacks), and `coherence.sandwich_profile` asks
+`t.find(a + b + a)`.  Each search runs in C (`fastsearch`), so the cost follows
+the alphabet, not the word's length; `TransitionDiagram.admits` and
+`admissible_diagrams` inherit it.  `_search_alphabet` decides the route once
+for both: the n^2 searches lose to one zip over the text on short texts (the
+fixed cost of n^2 calls) and on large alphabets (each absent pair or sandwich
+scans the whole text), so there the zip stays.
 """
 
 from __future__ import annotations
@@ -84,9 +95,14 @@ def parse_word(text: str, n: int) -> str:
     if "L" in s and any(ch.isdigit() for ch in s):
         parts = s.replace(",", " ").split()
         try:
-            word = "".join(letter_at(int(p.lstrip("L"))) for p in parts)
+            labels = [int(p.lstrip("L")) for p in parts]
         except ValueError as exc:  # a label that is not a number
             raise CutseqError(str(exc)) from None
+        alphabet = letters_for(n)
+        outside = [p for p, j in zip(parts, labels) if not 1 <= j <= n]
+        if outside:
+            raise CutseqError(f"labels {outside} outside L1..L{n}")
+        word = "".join(alphabet[j - 1] for j in labels)
     else:
         word = s.replace(" ", "")
     check_word(word, n)
@@ -202,9 +218,35 @@ def transitions(w: Wordlike) -> list[tuple[str, str]]:
     return list(_pairs(w))
 
 
+# Substring search beats one zip over the text only on long texts over small
+# alphabets (Python 3.11): an octagon word of 96 letters costs about 7 us either
+# way, and on 10^4-letter diagram walks the zip wins from 7 letters on.
+_SEARCH_MIN_LENGTH = 96
+_SEARCH_MAX_ALPHABET = 6
+_DROP_LETTERS = str.maketrans("", "", LETTERS)
+
+
+def _search_alphabet(t: str) -> list[str] | None:
+    """The distinct characters of t, sorted, if searching for them pays; else None."""
+    if len(t) < _SEARCH_MIN_LENGTH:
+        return None
+    letters = [c for c in LETTERS if c in t]
+    if t.translate(_DROP_LETTERS):  # a character outside A-Z
+        letters = sorted(set(t))
+    return letters if len(letters) <= _SEARCH_MAX_ALPHABET else None
+
+
 def transition_set(w: Wordlike) -> frozenset[tuple[str, str]]:
-    """Distinct adjacent letter pairs (admissibility only needs the set)."""
-    return frozenset(_pairs(w))
+    """Distinct adjacent letter pairs (admissibility only needs the set).
+
+    The wrapped text has the same pairs as `_pairs`; long texts are searched
+    once per pair of present letters (module doc).
+    """
+    t = _wrapped(w)
+    letters = _search_alphabet(t)
+    if letters is None:
+        return frozenset(zip(t, t[1:]))
+    return frozenset([(a, b) for a in letters for b in letters if a + b in t])
 
 
 # -- transition diagrams -----------------------------------------------------

@@ -309,3 +309,29 @@ def test_internal_error_keeps_traceback(capsys, monkeypatch, error):
     monkeypatch.setattr(cli, "derive", broken)
     with pytest.raises(error, match="bug"):
         main(["derive", "--word", "AD"])
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["derive", "--word", "L1,L99", "--n", "6"], "L99"),
+        (["derive", "--word", "L0 L1", "--n", "6"], "L0"),
+        (["enumerate", "--prefix", "0,99", "--len", "2"], "(0, 99)"),
+    ],
+)
+def test_out_of_range_entry_is_domain_error(capsys, argv, named):
+    # a label outside L1..Ln, a prefix entry outside 1..2n-1 anywhere in the prefix
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("cutseq: ")
+    assert named in err
+
+
+@pytest.mark.parametrize("name", ["NOSUCHFILE", "."])
+def test_unreadable_word_file_is_usage_error(capsys, tmp_path, name):
+    code, out, err = run(capsys, "recognize", "--word-file", str(tmp_path / name))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "argument --word-file" in err

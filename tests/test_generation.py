@@ -140,6 +140,14 @@ def test_family_examples():
         build_family((0, 0, 6))
 
 
+def test_enumerate_factors_checks_the_whole_prefix():
+    # the complexity ceiling is reached before the family that reads entry 99
+    with pytest.raises(InvalidPrefixError):
+        enumerate_factors((0, 99), 2)
+    with pytest.raises(InvalidPrefixError):
+        enumerate_factors((0, 1, 6, 0), 2)
+
+
 def test_generation_inverts_derivation_periodic():
     rng = random.Random(404)
     for k in range(1, 8):

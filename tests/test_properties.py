@@ -3,6 +3,7 @@ scalar against naive references, the Moebius action as a homomorphism, and the
 text round trips of scalars and words."""
 
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutseq.coherence import sandwich_profile
+from cutseq.coherence import _core_matches, decompose_candidates, sandwich_profile
 from cutseq.exact_arith import ExactDirection, Mat2, Q2Scalar, SingularMatrixError, moebius_apply
 from cutseq.farey import farey_branch
 from cutseq.generation import generate
@@ -19,6 +20,7 @@ from cutseq.symbolic import (
     LetterPermutation,
     PeriodicWord,
     WordWindow,
+    admissible_diagrams,
     build_diagram,
     derive,
     format_word,
@@ -26,6 +28,7 @@ from cutseq.symbolic import (
     letters_for,
     parse_word,
     permute,
+    sector_permutation,
     transition_set,
     transitions,
     word_text,
@@ -63,6 +66,14 @@ def naive_profile(w):
     return {letter: frozenset(v) for letter, v in prof.items()}
 
 
+def ordered_profile(w):
+    """naive_profile with its letters in order of first sandwiched occurrence."""
+    prof = {}
+    for letter, left in dict.fromkeys((b, a) for a, b, c in naive_neighbours(w) if a == c):
+        prof.setdefault(letter, set()).add(left)
+    return {letter: frozenset(v) for letter, v in prof.items()}
+
+
 def naive_transitions(w):
     s = word_text(w)
     pairs = [(s[i], s[i + 1]) for i in range(len(s) - 1)]
@@ -95,6 +106,34 @@ def words(draw):
     if kind == "periodic":
         return n, PeriodicWord.of(text)
     return n, WordWindow(text) if kind == "window" else text
+
+
+def walk(rng, d, length):
+    """A random walk of the given length through the diagram d."""
+    text = rng.choice(sorted({a for a, _ in d.edges}))
+    while len(text) < length:
+        text += rng.choice(d.successors(text[-1]))
+    return text
+
+
+def as_kind(kind, text):
+    if kind == "periodic":
+        return PeriodicWord.of(text)
+    return WordWindow(text) if kind == "window" else text
+
+
+@st.composite
+def long_words(draw):
+    """(n, word of 64-5000 letters over n = 3..8 letters): random text or a diagram walk,
+    as a str, a window or a periodic word."""
+    n = draw(st.integers(3, 8))
+    length = draw(st.integers(64, 5000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        text = "".join(rng.choice(letters_for(n)) for _ in range(length))
+    else:
+        text = walk(rng, build_diagram(draw(st.integers(0, 2 * n - 1)), n), length)
+    return n, as_kind(draw(st.sampled_from(["str", "window", "periodic"])), text)
 
 
 def _closing(d, u, v):
@@ -132,6 +171,72 @@ def test_kernel_matches_naive_reference(nw):
     assert sandwich_profile(w) == naive_profile(w)
     assert transitions(w) == naive_transitions(w)
     assert transition_set(w) == frozenset(naive_transitions(w))
+
+
+def naive_admissible(w, n):
+    pairs = frozenset(naive_transitions(w))
+    return tuple(i for i in range(2 * n) if pairs <= build_diagram(i, n).edges)
+
+
+@FAST
+@given(long_words())
+@example((4, "AD" * 47 + "A"))  # one letter short of the search crossover
+@example((4, "AD" * 48))
+@example((6, PeriodicWord.of("ABCDEF" * 20 + "A")))
+@example((7, "ABCDEFG" * 20))  # one letter more than the searched alphabets
+def test_alphabet_search_matches_naive_reference(nw):
+    n, w = nw
+    pairs = frozenset(naive_transitions(w))
+    assert transition_set(w) == pairs
+    # dict equality ignores order: compare the items in order
+    assert list(sandwich_profile(w).items()) == list(ordered_profile(w).items())
+    assert all(build_diagram(i, n).admits(w) == (pairs <= build_diagram(i, n).edges)
+               for i in range(2 * n))
+    assert admissible_diagrams(w, n) == naive_admissible(w, n)
+
+
+@FAST
+@given(
+    long_words(),
+    st.lists(st.tuples(st.integers(0, 5000), st.sampled_from("az1 @[\xe9\u03a9")), min_size=1,
+             max_size=5),
+    st.sampled_from(["str", "window", "periodic"]),
+)
+@example((3, "ABC" * 40), [(7, "a")], "str")  # four characters: still searched
+def test_text_outside_the_alphabet_matches_naive_reference(nw, inserts, kind):
+    text = word_text(nw[1])
+    for pos, c in inserts:
+        pos %= len(text) + 1
+        text = text[:pos] + c + text[pos:]
+    w = as_kind(kind, text)
+    assert transition_set(w) == frozenset(naive_transitions(w))
+    assert list(sandwich_profile(w).items()) == list(ordered_profile(w).items())
+
+
+def naive_decompose(w, i, n):
+    """decompose_candidates with every diagram tested pair by pair."""
+    if not frozenset(naive_transitions(w)) <= build_diagram(i, n).edges:
+        return []
+    nw = permute(sector_permutation(i, n), w)
+    v = naive_derive(nw)
+    if v is None or not word_text(v):
+        return []
+    return [(j, v) for j in naive_admissible(v, n) if j >= 1 and _core_matches(nw, j, v, n)]
+
+
+@FAST
+@given(st.data())
+def test_decompose_candidates_matches_naive_reference(data):
+    n = data.draw(st.integers(3, 8))
+    k, i = data.draw(st.integers(1, 2 * n - 1)), data.draw(st.integers(0, 2 * n - 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    v = walk(rng, build_diagram(k, n), data.draw(st.integers(16, 600)))
+    kind = data.draw(st.sampled_from(["str", "window", "periodic"]))
+    if kind == "periodic" and (v[-1], v[0]) not in build_diagram(k, n).edges:
+        kind = "window"
+    # a generated image is coherent and its raw walk mostly is not: both outcomes
+    for w in (generate(k, i, as_kind(kind, v), n), as_kind(kind, v)):
+        assert decompose_candidates(w, i, n) == naive_decompose(w, i, n)
 
 
 @FAST

@@ -201,6 +201,12 @@ def test_word_formats():
         parse_word("AZ", 4)
 
 
+@pytest.mark.parametrize("text", ["L1 L7", "L0 L1", "L-1", "L1,L99"])
+def test_word_label_outside_alphabet_is_refused(text):
+    with pytest.raises(CutseqError, match="outside L1..L6"):
+        parse_word(text, 6)
+
+
 def test_square_derivation_demo():
     w = "ABBBABBBBABBBABBBABBBBA"
     expected = "ABBABBBABBABBABBBA"
