@@ -510,13 +510,19 @@ def factor_count(w: Wordlike, length: int) -> int:
 def factor_counts_upto(word: str, max_length: int) -> dict[int, int]:
     """Distinct-factor counts for every length 1..max_length, in one pass.
 
-    Every factor of length l starting at position i <= len - max_length is the
-    prefix of the max_length factor at i, so shorter counts come from prefixes
-    of the long factor set plus the handful of windows inside the tail.
+    Every factor of length L = max_length lies inside one of the blocks of
+    length 2L - 1 that start at multiples of L, so the L-factors are the windows
+    of the distinct blocks.  A cutting sequence has (n-1)k+1 factors of length k,
+    hence few distinct blocks, and the pass over the word takes one slice per L
+    letters instead of one per letter.  Every factor of length l starting at
+    position i <= len - L is the prefix of the L-factor at i, so shorter counts
+    come from prefixes of the long factor set plus the handful of windows inside
+    the tail.
     """
     m = len(word)
     _check_factor_length(max_length, m, "max_length")
-    top = {word[i : i + max_length] for i in range(m - max_length + 1)}
+    blocks = {word[k : k + 2 * max_length - 1] for k in range(0, m - max_length + 1, max_length)}
+    top = {b[i : i + max_length] for b in blocks for i in range(len(b) - max_length + 1)}
     counts: dict[int, int] = {max_length: len(top)}
     for length in range(1, max_length):
         fs = {f[:length] for f in top}

@@ -2,17 +2,19 @@
 
 A trajectory travels in a fixed direction, and on hitting a side re-enters at
 the corresponding point of the opposite side (translation by twice the side
-midpoint, toward the center).  One tracer runs over floats or, for n in
-{2, 4}, over exact Q(sqrt 2) coordinates.  It renormalizes each crossing onto
-its side segment, so the translation invariance is exact by construction and
-floats accumulate no drift; recurrence of the exact boundary state certifies
-periodicity.
+midpoint, toward the center).  Over exact Q(sqrt 2) coordinates (n in {2, 4})
+the tracer follows the ray side by side, renormalizing each crossing onto its
+side segment; recurrence of the exact boundary state certifies periodicity.
+Over floats it follows the same boundary map as an interval exchange on the
+coordinate transverse to the direction, which costs one bisect per crossing
+and gives the same letters and vertex hits away from rounding ties.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,32 +65,14 @@ class TraceLog:
         return "".join(c.letter for c in self.crossings)
 
 
-def _run(
-    poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=False, want_states=False
-):
-    """Follow the ray crossing by crossing over the field cfg.mode picks.
+def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) -> list[tuple]:
+    """(ax, ay, ex, ey, tx, ty, sigma, k) of each exit side k, in side order.
 
-    Away from vertices exactly one exit side (outward normal . v > 0) meets the
-    ray with side parameter 0 <= u <= 1; the crossing lands on that side, then
-    re-enters from the opposite one.  The start must lie in the closed polygon
-    (boundary included, as every re-entry point is): exactly, or within epsilon.
+    An exit side has sigma = e x v > 0 (its outward normal dotted with v);
+    (tx, ty) = -(a + b) carries its points onto the opposite side.  The start
+    must lie in the closed polygon (boundary included, as every re-entry point
+    is): exactly, or within `slack`.
     """
-    if cfg.mode == "exact":
-        if poly.exact_vertices is None:
-            raise CutseqError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
-        if not isinstance(d, ExactDirection):
-            raise TypeError("exact tracing needs an exact direction")
-        endpoints, vx, vy, zero, one = poly.exact_side_endpoints, d.x, d.y, ZERO, ONE
-        px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
-        lo, hi, slack = ZERO, ONE, ZERO
-    else:
-        t = direction_theta(d)
-        endpoints, vx, vy, zero, one = poly.side_endpoints, math.cos(t), math.sin(t), 0.0, 1.0
-        px, py = float(start[0]), float(start[1])
-        # u <= lo or u >= hi is u < epsilon or u > 1 - epsilon; with the exact
-        # bounds (ZERO, ONE) the same test is u == 0 or u == 1
-        lo, hi = math.nextafter(cfg.epsilon, 0.0), math.nextafter(1.0 - cfg.epsilon, 2.0)
-        slack = cfg.epsilon
     sides = []
     for k in range(poly.side_count):
         (ax, ay), (bx, by) = endpoints(k)
@@ -97,21 +81,50 @@ def _run(
         # so its product with the start offset is the start's distance outside
         if not (px - ax) * -ey + (py - ay) * ex <= slack:  # NaN fails too
             raise CutseqError(f"start point lies outside side {k} of the polygon")
-        denom = ex * vy - ey * vx  # the outward normal dotted with v
-        if denom > zero:
-            sides.append((ax, ay, ex, ey, one / denom, -(ax + bx), -(ay + by), poly.letter(k), k))
+        sigma = ex * vy - ey * vx
+        if sigma > zero:
+            sides.append((ax, ay, ex, ey, -(ax + bx), -(ay + by), sigma, k))
+    return sides
+
+
+def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=False,
+         want_states=False) -> tuple[str, list, list]:
+    """(word, crossing log, boundary states (side, u)) over the field cfg.mode picks."""
+    if cfg.mode == "exact":
+        return _exact_run(poly, start, d, cfg.max_crossings, want_log, want_states)
+    return _float_run(poly, start, d, cfg, want_log, want_states)
+
+
+def _exact_run(poly: LabeledPolygon, start, d: Direction, max_crossings: int, want_log: bool,
+               want_states: bool) -> tuple[str, list, list]:
+    """Follow the ray crossing by crossing over Q(sqrt 2).
+
+    Away from vertices exactly one exit side meets the ray with side parameter
+    0 <= u <= 1; the crossing lands on that side, then re-enters from the
+    opposite one.  u == 0 or u == 1 is a vertex.
+    """
+    if poly.exact_vertices is None:
+        raise CutseqError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
+    if not isinstance(d, ExactDirection):
+        raise TypeError("exact tracing needs an exact direction")
+    vx, vy = d.x, d.y
+    px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
+    sides = [
+        (ax, ay, ex, ey, ONE / sigma, tx, ty, poly.letter(k), k)
+        for ax, ay, ex, ey, tx, ty, sigma, k in _exit_sides(
+            poly, poly.exact_side_endpoints, px, py, vx, vy, ZERO, ZERO)
+    ]
     letters: list[str] = []
     crossings: list[Crossing] = []
     states: list[tuple] = []
-    add_letter = letters.append
-    for step in range(cfg.max_crossings):
+    for step in range(max_crossings):
         for ax, ay, ex, ey, inv, tx, ty, letter, k in sides:
             u = ((px - ax) * vy - (py - ay) * vx) * inv
-            if zero <= u <= one:
-                if u <= lo or u >= hi:
+            if ZERO <= u <= ONE:
+                if u == ZERO or u == ONE:
                     raise VertexHit(step, k)
                 qx, qy = ax + u * ex, ay + u * ey
-                add_letter(letter)
+                letters.append(letter)
                 if want_log:
                     crossings.append(Crossing(letter, (float(qx), float(qy)), k))
                 if want_states:
@@ -120,20 +133,92 @@ def _run(
                 break
         else:
             raise AssertionError("ray found no exit side")
-    return letters, crossings, states
+    return "".join(letters), crossings, states
+
+
+def _float_run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log: bool,
+               want_states: bool) -> tuple[str, list, list]:
+    """Follow the ray over floats as an interval exchange.
+
+    The transverse coordinate s = p x v stays constant along a segment.  The
+    exit sides, in the order of s, cut it into consecutive intervals
+    [S_j, S_j + sigma_j] with side parameter u = (s - S_j) / sigma_j, and
+    re-entering from the opposite side adds the fixed shift t_j x v to s.  So a
+    crossing is one bisect, one append and one addition.  The epsilon rule (u <
+    epsilon or u > 1 - epsilon is a vertex hit) is a band of width
+    epsilon * sigma_j at each end of interval j: `bounds` alternates band and
+    interior ends, so the bisect index 2j + 1 is the interior of interval j and
+    an even index a band or the outside of the chain.
+    """
+    t = direction_theta(d)
+    vx, vy = math.cos(t), math.sin(t)
+    px, py, eps = float(start[0]), float(start[1]), cfg.epsilon
+    sides = _exit_sides(poly, poly.side_endpoints, px, py, vx, vy, eps, 0.0)
+    sides.sort(key=lambda side: side[0] * vy - side[1] * vx)
+    lower = sides[0][0] * vy - sides[0][1] * vx
+    bounds, shifts, codes = [], [0.0], bytearray(256)
+    for j, (_, _, _, _, tx, ty, sigma, k) in enumerate(sides):
+        # chained through sigma, so the intervals tile [S_0, S_m] and bounds is sorted
+        bounds += [lower + eps * sigma, lower + (1.0 - eps) * sigma]
+        shifts += [tx * vy - ty * vx, 0.0]
+        codes[2 * j + 1] = ord(poly.letter(k))
+        lower += sigma
+    s = px * vy - py * vx
+    path = bytearray()  # the bisect index of each crossing
+    add = path.append
+    for step in range(cfg.max_crossings):
+        i = bisect(bounds, s)
+        if not i & 1:
+            _, point = _replay(path, sides, px, py, vx, vy)
+            raise VertexHit(step, _vertex_side(point, sides, vx, vy, i))
+        add(i)
+        s += shifts[i]
+    steps = _replay(path, sides, px, py, vx, vy)[0] if want_log or want_states else []
+    crossings = [Crossing(chr(codes[i]), q, k) for i, k, _, q in steps] if want_log else []
+    states = [(k, u) for _, k, u, _ in steps] if want_states else []
+    return path.translate(codes).decode("ascii"), crossings, states
+
+
+def _replay(path: bytearray, sides: list[tuple], px: float, py: float, vx: float, vy: float):
+    """((bisect index, side, u, exit point) per crossing, the point after the path).
+
+    The side-by-side float arithmetic, replayed along the sides the interval
+    exchange picked, so points and u are those of a side-by-side trace.
+    """
+    steps = []
+    for i in path:
+        ax, ay, ex, ey, tx, ty, sigma, k = sides[i // 2]
+        u = ((px - ax) * vy - (py - ay) * vx) * (1.0 / sigma)
+        qx, qy = ax + u * ex, ay + u * ey
+        steps.append((i, k, u, (qx, qy)))
+        px, py = qx + tx, qy + ty
+    return steps, (px, py)
+
+
+def _vertex_side(point: tuple[float, float], sides: list[tuple], vx: float, vy: float,
+                 i: int) -> int:
+    """The side a vertex hit in band i reports, as a side-by-side trace does.
+
+    That is the first side, in side order, whose u at the point lies in [0, 1]:
+    the side the point lies on or, at the vertex itself, the lower of the two.
+    Should rounding leave the point on neither, the exit side next to band i.
+    """
+    px, py = point
+    for ax, ay, ex, ey, _, _, sigma, k in sorted(sides, key=lambda side: side[7]):
+        if 0.0 <= ((px - ax) * vy - (py - ay) * vx) * (1.0 / sigma) <= 1.0:
+            return k
+    return sides[min(i // 2, len(sides) - 1)][7]
 
 
 def trace(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple[str, TraceLog]:
     """Cutting sequence of max_crossings crossings, with the full crossing log."""
-    letters, crossings, _ = _run(poly, start, d, cfg, want_log=True)
-    log = TraceLog(d, tuple(start), crossings)
-    return "".join(letters), log
+    word, crossings, _ = _run(poly, start, d, cfg, want_log=True)
+    return word, TraceLog(d, tuple(start), crossings)
 
 
 def trace_word(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> str:
     """Cutting sequence only; the lean path for long traces."""
-    letters, _, _ = _run(poly, start, d, cfg)
-    return "".join(letters)
+    return _run(poly, start, d, cfg)[0]
 
 
 def detect_period(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> int | None:

@@ -1,6 +1,6 @@
-"""Property tests: the word kernel, the least rotation and the Q(sqrt 2)
-scalar against naive references, the Moebius action as a homomorphism, and the
-text round trips of scalars and words."""
+"""Property tests: the word kernel, the least rotation, the Q(sqrt 2) scalar,
+the float tracer and factor counts against naive references, the Moebius action
+as a homomorphism, and the text round trips of scalars and words."""
 
 import math
 import random
@@ -12,10 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutseq.coherence import _core_matches, decompose_candidates, sandwich_profile
-from cutseq.exact_arith import ExactDirection, Mat2, Q2Scalar, SingularMatrixError, moebius_apply
+from cutseq.exact_arith import (
+    ApproxDirection,
+    ExactDirection,
+    Mat2,
+    Q2Scalar,
+    SingularMatrixError,
+    moebius_apply,
+)
 from cutseq.farey import farey_branch
 from cutseq.generation import generate
-from cutseq.polygon import isometry_nu
+from cutseq.polygon import build_polygon, isometry_nu
 from cutseq.symbolic import (
     LetterPermutation,
     PeriodicWord,
@@ -23,6 +30,7 @@ from cutseq.symbolic import (
     admissible_diagrams,
     build_diagram,
     derive,
+    factor_counts_upto,
     format_word,
     least_rotation,
     letters_for,
@@ -33,6 +41,7 @@ from cutseq.symbolic import (
     transitions,
     word_text,
 )
+from cutseq.tracer import TraceConfig, VertexHit, detect_period, trace, trace_word
 
 FAST = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -471,3 +480,118 @@ def test_moebius_action_is_homomorphism(data):
     left = moebius_apply(a @ b, d)
     right = moebius_apply(a, moebius_apply(b, d))
     assert projective(left) == projective(right)
+
+
+# -- the float tracer and factor counts ----------------------------------------------
+
+
+def side_by_side_trace(poly, start, theta, eps, crossings):
+    """The float boundary map one side at a time: each crossing takes the first
+    exit side, in side order, whose parameter u lies in [0, 1], and u within
+    eps of an end is a vertex hit.  (word, [(point, side)], [(side, u)]), or
+    ("vertex", crossing, side), or ("no exit", crossing) when rounding leaves
+    the ray on no side."""
+    vx, vy = math.cos(theta), math.sin(theta)
+    px, py = start
+    sides = []
+    for k in range(poly.side_count):
+        (ax, ay), (bx, by) = poly.side_endpoints(k)
+        ex, ey = bx - ax, by - ay
+        if ex * vy - ey * vx > 0:
+            sides.append((ax, ay, ex, ey, 1.0 / (ex * vy - ey * vx), bx, by, k))
+    word, points, states = "", [], []
+    for step in range(crossings):
+        for ax, ay, ex, ey, inv, bx, by, k in sides:
+            u = ((px - ax) * vy - (py - ay) * vx) * inv
+            if 0.0 <= u <= 1.0:
+                if u < eps or u > 1.0 - eps:
+                    return "vertex", step, k
+                qx, qy = ax + u * ex, ay + u * ey
+                word += poly.letter(k)
+                points.append(((qx, qy), k))
+                states.append((k, u))
+                px, py = qx + -(ax + bx), qy + -(ay + by)
+                break
+        else:
+            return "no exit", step
+    return word, points, states
+
+
+def side_by_side_period(states, eps):
+    first = states[0]
+    return next((m for m in range(1, len(states))
+                 if states[m][0] == first[0] and abs(states[m][1] - first[1]) < eps), None)
+
+
+@st.composite
+def float_rays(draw):
+    """(polygon, start, theta, epsilon, crossings): a start in the inscribed disc and a
+    generic direction, one near a side or sector bound, or one aimed at a vertex."""
+    n = draw(st.integers(2, 6))
+    poly = build_polygon(n)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    r = 0.99 / (2 * math.tan(math.pi / (2 * n)))
+    x, y = r, r
+    while x * x + y * y >= r * r:
+        x, y = rng.uniform(-r, r), rng.uniform(-r, r)
+    kind = draw(st.sampled_from(["generic", "side", "vertex"]))
+    offset = draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-10, 1e-8, 0.01]))
+    if kind == "generic":
+        theta = rng.uniform(0, math.pi)
+    elif kind == "side":
+        theta = rng.randrange(2 * n + 1) * math.pi / (2 * n) + offset
+    else:
+        vx, vy = rng.choice([v for v in poly.vertices if v[1] > y])
+        theta = math.atan2(vy - y, vx - x) + offset
+    theta = min(max(theta, 0.0), math.pi)
+    eps = draw(st.sampled_from([1e-9, 1e-12, 1e-6, 1e-3]))
+    return poly, (x, y), theta, eps, draw(st.integers(1, 400))
+
+
+@FAST
+@given(float_rays())
+# aimed at a vertex: u lies in [0, 1] on both sides there, and side 0 is reported
+@example((build_polygon(3), (0.06976532068367625, 0.12159785228611186), 2.2240642613545467,
+          1e-9, 3))
+# aimed at a vertex: rounding puts u outside [0, 1] on both sides
+@example((build_polygon(2), (0.4173874737384608, 0.2605623610062509), 1.238558364485752,
+          1e-6, 20))
+def test_float_tracer_matches_side_by_side_reference(ray):
+    poly, start, theta, eps, crossings = ray
+    cfg = TraceConfig(epsilon=eps, max_crossings=crossings)
+    d = ApproxDirection(theta)
+    ref = side_by_side_trace(poly, start, theta, eps, crossings)
+    if ref[0] in ("vertex", "no exit"):
+        with pytest.raises(VertexHit) as hit:
+            trace_word(poly, start, d, cfg)
+        assert hit.value.crossing == ref[1]
+        if ref[0] == "vertex":
+            assert hit.value.side == ref[2]
+        return
+    word, points, states = ref
+    assert trace_word(poly, start, d, cfg) == word
+    got, log = trace(poly, start, d, cfg)
+    assert got == word and [(c.point, c.side) for c in log.crossings] == points
+    assert detect_period(poly, start, d, cfg) == side_by_side_period(states, eps)
+
+
+def naive_factor_counts(w, top):
+    return {k: len({w[i : i + k] for i in range(len(w) - k + 1)}) for k in range(1, top + 1)}
+
+
+@FAST
+@given(st.data())
+def test_factor_counts_upto_matches_naive_reference(data):
+    """Random text, and float traces: cutting sequences, whose few factors per
+    length leave few distinct blocks."""
+    poly, start, theta, _, _ = data.draw(float_rays())
+    top = data.draw(st.integers(1, 24))
+    length = data.draw(st.integers(top, 5 * top + 400))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    try:
+        w = trace_word(poly, start, ApproxDirection(theta), TraceConfig(max_crossings=length))
+    except VertexHit:
+        w = "".join(rng.choice(letters_for(poly.n)) for _ in range(length))
+    if data.draw(st.booleans()):
+        w = "".join(rng.choice(letters_for(poly.n)) for _ in range(length))
+    assert factor_counts_upto(w, top) == naive_factor_counts(w, top)
