@@ -2,12 +2,11 @@
 
 A trajectory travels in a fixed direction, and on hitting a side re-enters at
 the corresponding point of the opposite side (translation by twice the side
-midpoint, toward the center).  Over exact Q(sqrt 2) coordinates (n in {2, 4})
-the tracer follows the ray side by side, renormalizing each crossing onto its
-side segment; recurrence of the exact boundary state certifies periodicity.
-Over floats it follows the same boundary map as an interval exchange on the
-coordinate transverse to the direction, which costs one bisect per crossing
-and gives the same letters and vertex hits away from rounding ties.
+midpoint, toward the center).  One tracer follows this boundary map as an
+interval exchange on the coordinate transverse to the direction, one bisect per
+crossing, over floats (a vertex hit is within epsilon of a vertex) or over exact
+Q(sqrt 2) coordinates for n in {2, 4} (a vertex hit is exact, and recurrence of
+the exact boundary state certifies periodicity).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class TraceConfig:
     mode: str = "approx"  # "approx" | "exact"
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN fails too
             raise CutseqError("epsilon must be positive")
         if self.max_crossings < 1:
             raise CutseqError("max_crossings must be >= 1")
@@ -70,8 +69,7 @@ def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) ->
 
     An exit side has sigma = e x v > 0 (its outward normal dotted with v);
     (tx, ty) = -(a + b) carries its points onto the opposite side.  The start
-    must lie in the closed polygon (boundary included, as every re-entry point
-    is): exactly, or within `slack`.
+    must lie in the closed polygon, as every re-entry point does, within `slack`.
     """
     sides = []
     for k in range(poly.side_count):
@@ -89,114 +87,81 @@ def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) ->
 
 def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=False,
          want_states=False) -> tuple[str, list, list]:
-    """(word, crossing log, boundary states (side, u)) over the field cfg.mode picks."""
-    if cfg.mode == "exact":
-        return _exact_run(poly, start, d, cfg.max_crossings, want_log, want_states)
-    return _float_run(poly, start, d, cfg, want_log, want_states)
-
-
-def _exact_run(poly: LabeledPolygon, start, d: Direction, max_crossings: int, want_log: bool,
-               want_states: bool) -> tuple[str, list, list]:
-    """Follow the ray crossing by crossing over Q(sqrt 2).
-
-    Away from vertices exactly one exit side meets the ray with side parameter
-    0 <= u <= 1; the crossing lands on that side, then re-enters from the
-    opposite one.  u == 0 or u == 1 is a vertex.
-    """
-    if poly.exact_vertices is None:
-        raise CutseqError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
-    if not isinstance(d, ExactDirection):
-        raise TypeError("exact tracing needs an exact direction")
-    vx, vy = d.x, d.y
-    px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
-    sides = [
-        (ax, ay, ex, ey, ONE / sigma, tx, ty, poly.letter(k), k)
-        for ax, ay, ex, ey, tx, ty, sigma, k in _exit_sides(
-            poly, poly.exact_side_endpoints, px, py, vx, vy, ZERO, ZERO)
-    ]
-    letters: list[str] = []
-    crossings: list[Crossing] = []
-    states: list[tuple] = []
-    for step in range(max_crossings):
-        for ax, ay, ex, ey, inv, tx, ty, letter, k in sides:
-            u = ((px - ax) * vy - (py - ay) * vx) * inv
-            if ZERO <= u <= ONE:
-                if u == ZERO or u == ONE:
-                    raise VertexHit(step, k)
-                qx, qy = ax + u * ex, ay + u * ey
-                letters.append(letter)
-                if want_log:
-                    crossings.append(Crossing(letter, (float(qx), float(qy)), k))
-                if want_states:
-                    states.append((k, u))
-                px, py = qx + tx, qy + ty
-                break
-        else:
-            raise AssertionError("ray found no exit side")
-    return "".join(letters), crossings, states
-
-
-def _float_run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log: bool,
-               want_states: bool) -> tuple[str, list, list]:
-    """Follow the ray over floats as an interval exchange.
+    """(word, crossing log, boundary states (side, u)): the ray as an interval exchange.
 
     The transverse coordinate s = p x v stays constant along a segment.  The
     exit sides, in the order of s, cut it into consecutive intervals
     [S_j, S_j + sigma_j] with side parameter u = (s - S_j) / sigma_j, and
-    re-entering from the opposite side adds the fixed shift t_j x v to s.  So a
-    crossing is one bisect, one append and one addition.  The epsilon rule (u <
-    epsilon or u > 1 - epsilon is a vertex hit) is a band of width
-    epsilon * sigma_j at each end of interval j: `bounds` alternates band and
-    interior ends, so the bisect index 2j + 1 is the interior of interval j and
-    an even index a band or the outside of the chain.
+    re-entering from the opposite side adds the fixed shift t_j x v to s, so a
+    crossing is one bisect, one append and one addition.  A vertex hit is a band
+    at each end of interval j, epsilon * sigma_j wide over floats and 0 over
+    Q(sqrt 2).  `bounds` alternates band and interior ends, so the bisect index
+    2j + 1 is the interior of interval j and an even index a band or outside.
     """
-    t = direction_theta(d)
-    vx, vy = math.cos(t), math.sin(t)
-    px, py, eps = float(start[0]), float(start[1]), cfg.epsilon
-    sides = _exit_sides(poly, poly.side_endpoints, px, py, vx, vy, eps, 0.0)
+    if cfg.mode == "exact":
+        if poly.exact_vertices is None:
+            raise CutseqError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
+        if not isinstance(d, ExactDirection):
+            raise TypeError("exact tracing needs an exact direction")
+        vx, vy = d.x, d.y
+        px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
+        endpoints, eps, zero, one, locate = poly.exact_side_endpoints, ZERO, ZERO, ONE, _locate
+    else:
+        t = direction_theta(d)
+        vx, vy = math.cos(t), math.sin(t)
+        px, py = float(start[0]), float(start[1])
+        endpoints, eps, zero, one, locate = poly.side_endpoints, cfg.epsilon, 0.0, 1.0, bisect
+    sides = _exit_sides(poly, endpoints, px, py, vx, vy, eps, zero)
     sides.sort(key=lambda side: side[0] * vy - side[1] * vx)
     lower = sides[0][0] * vy - sides[0][1] * vx
-    bounds, shifts, codes = [], [0.0], bytearray(256)
+    bounds, shifts, codes = [], [zero], bytearray(256)
     for j, (_, _, _, _, tx, ty, sigma, k) in enumerate(sides):
         # chained through sigma, so the intervals tile [S_0, S_m] and bounds is sorted
-        bounds += [lower + eps * sigma, lower + (1.0 - eps) * sigma]
-        shifts += [tx * vy - ty * vx, 0.0]
+        bounds += [lower + eps * sigma, lower + (one - eps) * sigma]
+        shifts += [tx * vy - ty * vx, zero]
         codes[2 * j + 1] = ord(poly.letter(k))
         lower += sigma
     s = px * vy - py * vx
     path = bytearray()  # the bisect index of each crossing
     add = path.append
     for step in range(cfg.max_crossings):
-        i = bisect(bounds, s)
+        i = locate(bounds, s)
         if not i & 1:
-            _, point = _replay(path, sides, px, py, vx, vy)
-            raise VertexHit(step, _vertex_side(point, sides, vx, vy, i))
+            _, point = _replay(path, sides, px, py, vx, vy, one)
+            raise VertexHit(step, _vertex_side(point, sides, vx, vy, i, one))
         add(i)
         s += shifts[i]
-    steps = _replay(path, sides, px, py, vx, vy)[0] if want_log or want_states else []
+    steps = _replay(path, sides, px, py, vx, vy, one)[0] if want_log or want_states else []
+    if want_log and cfg.mode == "exact":  # the log holds float points
+        steps = [(i, k, u, (float(qx), float(qy))) for i, k, u, (qx, qy) in steps]
     crossings = [Crossing(chr(codes[i]), q, k) for i, k, _, q in steps] if want_log else []
     states = [(k, u) for _, k, u, _ in steps] if want_states else []
     return path.translate(codes).decode("ascii"), crossings, states
 
 
-def _replay(path: bytearray, sides: list[tuple], px: float, py: float, vx: float, vy: float):
+def _locate(bounds: list, s) -> int:
+    """bisect for bands of width 0, where s == S_j (index 2j + 1) is a vertex too."""
+    i = bisect(bounds, s)
+    return i - 1 if i & 1 and s == bounds[i - 1] else i
+
+
+def _replay(path: bytearray, sides: list[tuple], px, py, vx, vy, one):
     """((bisect index, side, u, exit point) per crossing, the point after the path).
 
-    The side-by-side float arithmetic, replayed along the sides the interval
-    exchange picked, so points and u are those of a side-by-side trace.
+    The side-by-side arithmetic, replayed along the sides the interval exchange
+    picked, so points and u are those of a side-by-side trace.
     """
     steps = []
     for i in path:
         ax, ay, ex, ey, tx, ty, sigma, k = sides[i // 2]
-        u = ((px - ax) * vy - (py - ay) * vx) * (1.0 / sigma)
+        u = ((px - ax) * vy - (py - ay) * vx) * (one / sigma)
         qx, qy = ax + u * ex, ay + u * ey
         steps.append((i, k, u, (qx, qy)))
         px, py = qx + tx, qy + ty
     return steps, (px, py)
 
 
-def _vertex_side(point: tuple[float, float], sides: list[tuple], vx: float, vy: float,
-                 i: int) -> int:
+def _vertex_side(point: tuple, sides: list[tuple], vx, vy, i: int, one) -> int:
     """The side a vertex hit in band i reports, as a side-by-side trace does.
 
     That is the first side, in side order, whose u at the point lies in [0, 1]:
@@ -205,7 +170,7 @@ def _vertex_side(point: tuple[float, float], sides: list[tuple], vx: float, vy: 
     """
     px, py = point
     for ax, ay, ex, ey, _, _, sigma, k in sorted(sides, key=lambda side: side[7]):
-        if 0.0 <= ((px - ax) * vy - (py - ay) * vx) * (1.0 / sigma) <= 1.0:
+        if 0 <= ((px - ax) * vy - (py - ay) * vx) * (one / sigma) <= one:
             return k
     return sides[min(i // 2, len(sides) - 1)][7]
 

@@ -335,3 +335,8 @@ def test_unreadable_word_file_is_usage_error(capsys, tmp_path, name):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "argument --word-file" in err
+
+
+def test_nan_epsilon_is_refused(capsys):
+    code, out, err = run(capsys, "trace", "--theta", "0.9", "--epsilon", "nan")
+    assert (code, out, err) == (2, "", "cutseq: epsilon must be positive\n")

@@ -1,6 +1,6 @@
 """Property tests: the word kernel, the least rotation, the Q(sqrt 2) scalar,
-the float tracer and factor counts against naive references, the Moebius action
-as a homomorphism, and the text round trips of scalars and words."""
+the float and exact tracers and factor counts against naive references, the
+Moebius action as a homomorphism, and the text round trips of scalars and words."""
 
 import math
 import random
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from cutseq.coherence import _core_matches, decompose_candidates, sandwich_profile
 from cutseq.exact_arith import (
+    ONE,
+    ZERO,
     ApproxDirection,
     ExactDirection,
     Mat2,
@@ -482,7 +484,7 @@ def test_moebius_action_is_homomorphism(data):
     assert projective(left) == projective(right)
 
 
-# -- the float tracer and factor counts ----------------------------------------------
+# -- the tracers and factor counts ----------------------------------------------------
 
 
 def side_by_side_trace(poly, start, theta, eps, crossings):
@@ -573,6 +575,95 @@ def test_float_tracer_matches_side_by_side_reference(ray):
     got, log = trace(poly, start, d, cfg)
     assert got == word and [(c.point, c.side) for c in log.crossings] == points
     assert detect_period(poly, start, d, cfg) == side_by_side_period(states, eps)
+
+
+def side_by_side_exact_trace(poly, start, d, crossings):
+    """The exact boundary map one side at a time over Q(sqrt 2): each crossing takes
+    the exit side whose parameter u lies in [0, 1], and u == 0 or u == 1 is a
+    vertex hit, reported on the first such side in side order.  (word,
+    [(point, side)], [(side, u)]) with float points, or ("vertex", crossing, side)."""
+    vx, vy = d.x, d.y
+    px, py = start
+    sides = []
+    for k in range(poly.side_count):
+        (ax, ay), (bx, by) = poly.exact_side_endpoints(k)
+        ex, ey = bx - ax, by - ay
+        if ex * vy - ey * vx > ZERO:
+            sides.append((ax, ay, ex, ey, ONE / (ex * vy - ey * vx), bx, by, k))
+    word, points, states = "", [], []
+    for step in range(crossings):
+        for ax, ay, ex, ey, inv, bx, by, k in sides:
+            u = ((px - ax) * vy - (py - ay) * vx) * inv
+            if ZERO <= u <= ONE:
+                if u == ZERO or u == ONE:
+                    return "vertex", step, k
+                qx, qy = ax + u * ex, ay + u * ey
+                word += poly.letter(k)
+                points.append(((float(qx), float(qy)), k))
+                states.append((k, u))
+                px, py = qx - (ax + bx), qy - (ay + by)
+                break
+        else:
+            raise AssertionError("ray found no exit side")
+    return word, points, states
+
+
+@st.composite
+def exact_rays(draw):
+    """(polygon, start, direction, crossings) over Q(sqrt 2), n in {2, 4}: a start on
+    the rational grid, at the center or on the boundary, and a small-coefficient
+    inverse slope, a horizontal direction, or one aimed at a vertex, either
+    directly or through re-entries (at a vertex translated by side pair vectors)."""
+    n = draw(st.sampled_from((2, 4)))
+    poly = build_polygon(n)
+    kind = draw(st.sampled_from(["grid", "center", "boundary"]))
+    if kind == "grid":  # inside both polygons: |x|, |y| < 1/2
+        start = (Q2Scalar(Fraction(draw(st.integers(-6, 6)), 13)),
+                 Q2Scalar(Fraction(draw(st.integers(-6, 6)), 17)))
+    elif kind == "center":
+        start = (ZERO, ZERO)
+    else:
+        (ax, ay), (bx, by) = poly.exact_side_endpoints(draw(st.integers(0, 2 * n - 1)))
+        u = draw(st.sampled_from([ZERO, Q2Scalar(Fraction(1, 2)), Q2Scalar(Fraction(1, 3))]))
+        start = (ax + u * (bx - ax), ay + u * (by - ay))
+    aim = draw(st.sampled_from(["cot", "horizontal", "vertex"]))
+    if aim == "horizontal":
+        d = ExactDirection.horizontal(draw(st.booleans()))
+    else:
+        small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        mu = Q2Scalar(draw(small), draw(small))
+        if aim == "vertex":
+            tx, ty = draw(st.sampled_from(poly.exact_vertices))
+            for k in draw(st.lists(st.integers(0, 2 * n - 1), max_size=2)):
+                (ax, ay), (bx, by) = poly.exact_side_endpoints(k)
+                tx, ty = tx + ax + bx, ty + ay + by
+            if ty != start[1]:
+                mu = (tx - start[0]) / (ty - start[1])
+        d = ExactDirection.from_cot(mu)
+    return poly, start, d, draw(st.integers(1, 60))
+
+
+@FAST
+@given(exact_rays())
+# aimed from the center at a vertex: a vertex hit at crossing 0
+@example((build_polygon(4), (ZERO, ZERO), ExactDirection.from_cot(Q2Scalar(-1, 1)), 5))
+# re-enters at (-1/2, 0), aimed at the vertex (1/2, 1/2): a vertex hit at crossing 1
+@example((build_polygon(2), (Q2Scalar(Fraction(1, 2)), ZERO), ExactDirection.from_cot(2), 5))
+def test_exact_tracer_matches_side_by_side_reference(ray):
+    poly, start, d, crossings = ray
+    cfg = TraceConfig(max_crossings=crossings, mode="exact")
+    ref = side_by_side_exact_trace(poly, start, d, crossings)
+    if ref[0] == "vertex":
+        with pytest.raises(VertexHit) as hit:
+            trace_word(poly, start, d, cfg)
+        assert (hit.value.crossing, hit.value.side) == ref[1:]
+        return
+    word, points, states = ref
+    assert trace_word(poly, start, d, cfg) == word
+    got, log = trace(poly, start, d, cfg)
+    assert got == word and [(c.point, c.side) for c in log.crossings] == points
+    period = next((m for m in range(1, len(states)) if states[m] == states[0]), None)
+    assert detect_period(poly, start, d, cfg) == period
 
 
 def naive_factor_counts(w, top):

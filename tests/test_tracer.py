@@ -251,3 +251,10 @@ def test_start_outside_polygon_rejected():
     with pytest.raises(CutseqError, match="outside"):
         trace_word(build_polygon(2), (q2(0), q2(5)), exact_d, exact_cfg)
     assert len(trace_word(OCT, (q2(0), exact_top), exact_d, exact_cfg)) == 5
+
+
+def test_epsilon_must_be_positive():
+    # NaN compares false both ways, so it must not slip past a "<= 0" test
+    for epsilon in (0.0, -1e-9, math.nan):
+        with pytest.raises(CutseqError, match="epsilon must be positive"):
+            TraceConfig(epsilon=epsilon)
