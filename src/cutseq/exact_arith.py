@@ -1,8 +1,10 @@
 """Exact arithmetic in Q(sqrt 2) and the projective action of 2x2 matrices on directions.
 
 A scalar a + b*sqrt(2) is held as three Python ints (p, q, d) with value
-(p + q*sqrt(2)) / d, d > 0 and gcd(p, q, d) = 1, reduced once per operation.
-Sign tests are decided exactly on integer cross-products, never through floating
+(p + q*sqrt(2)) / d, d > 0 and gcd(p, q, d) = 1.  The Moebius image of an exact
+direction and each entry of an exact matrix product are formed on integer
+cross-products and reduced once per result, not once per scalar step.  Sign
+tests are decided exactly on integer cross-products, never through floating
 point, so sector classifications downstream carry no tolerance.  Directions live on
 the projective line: either an exact Q(sqrt 2) vector normalized to (mu, 1) or
 (+-1, 0), or a floating angle in [0, pi].  The two horizontal points (1, 0) and
@@ -189,6 +191,18 @@ def _sign(p: int, q: int) -> int:
     return sp if p * p > 2 * q * q else sq
 
 
+def _dot(x: Q2Scalar, y: Q2Scalar, z: Q2Scalar, w: Q2Scalar) -> tuple[int, int, int]:
+    """The unreduced triple of x*y + z*w, by integer cross-products."""
+    p, q, r, s = x._p, x._q, y._p, y._q
+    f, g = p * r + 2 * q * s, p * s + q * r
+    p, q, r, s = z._p, z._q, w._p, w._q
+    h, k = p * r + 2 * q * s, p * s + q * r
+    d, e = x._d * y._d, z._d * w._d
+    if d == e:
+        return f + h, g + k, d
+    return f * e + h * d, g * e + k * d, d * e
+
+
 def _coerce(value: Q2Scalar | int | Fraction | float) -> Q2Scalar:
     return value if isinstance(value, Q2Scalar) else Q2Scalar(value)
 
@@ -225,12 +239,14 @@ class Mat2:
         return self.m11 * self.m22 - self.m12 * self.m21
 
     def __matmul__(self, other: Mat2) -> Mat2:
-        return Mat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
+        a, b, c, d = self.entries()
+        e, f, g, h = other.entries()
+        if self.is_exact and other.is_exact:  # each entry reduced once
+            return Mat2(
+                _reduced(*_dot(a, e, b, g)), _reduced(*_dot(a, f, b, h)),
+                _reduced(*_dot(c, e, d, g)), _reduced(*_dot(c, f, d, h)),
+            )
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inverse(self) -> Mat2:
         d = self.det()
@@ -262,18 +278,6 @@ class ExactDirection:
 
     x: Q2Scalar
     y: Q2Scalar
-
-    @classmethod
-    def make(cls, x: Q2Scalar, y: Q2Scalar) -> ExactDirection:
-        sy = y.sign()
-        if sy < 0:
-            x, y, sy = -x, -y, 1
-        if sy == 0:
-            sx = x.sign()
-            if sx == 0:
-                raise ValueError("zero vector does not define a direction")
-            return cls(ONE if sx > 0 else -ONE, ZERO)
-        return cls(x / y, ONE)
 
     @classmethod
     def from_cot(cls, mu: Q2Scalar | int | Fraction) -> ExactDirection:
@@ -338,7 +342,17 @@ def moebius_apply(m: Mat2, d: Direction) -> Direction:
     if isinstance(d, ExactDirection):
         if not m.is_exact:
             raise TypeError("exact direction needs a matrix with Q(sqrt 2) entries")
-        return ExactDirection.make(*m.apply_vector(d.x, d.y))
+        # the image (X, Y) = ((xp + xq sqrt2) / e, (yp + yq sqrt2) / f), e, f > 0
+        xp, xq, e = _dot(m.m11, d.x, m.m12, d.y)
+        yp, yq, f = _dot(m.m21, d.x, m.m22, d.y)
+        if yp == 0 and yq == 0:
+            sx = _sign(xp, xq)
+            if sx == 0:
+                raise ValueError("zero vector does not define a direction")
+            return ExactDirection.horizontal(sx > 0)
+        # mu = X / Y = f X conj(Y) / (e N(Y)), and _reduced makes the denominator positive
+        p, q = f * (xp * yp - 2 * xq * yq), f * (xq * yp - xp * yq)
+        return ExactDirection(_reduced(p, q, e * (yp * yp - 2 * yq * yq)), ONE)
     a, b, c, e = m.as_floats()
     vx, vy = math.cos(d.theta), math.sin(d.theta)
     wx, wy = a * vx + b * vy, c * vx + e * vy

@@ -5,8 +5,9 @@ the corresponding point of the opposite side (translation by twice the side
 midpoint, toward the center).  One tracer follows this boundary map as an
 interval exchange on the coordinate transverse to the direction, one bisect per
 crossing, over floats (a vertex hit is within epsilon of a vertex) or over exact
-Q(sqrt 2) coordinates for n in {2, 4} (a vertex hit is exact, and recurrence of
-the exact boundary state certifies periodicity).
+Q(sqrt 2) coordinates for n in {2, 4} (a vertex hit is exact).  An exact period
+is an exact recurrence of the transverse coordinate, found with one addition per
+crossing and no replay of the crossing points.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .exact_arith import ONE, ZERO, Direction, ExactDirection, Q2Scalar, direction_theta
 from .polygon import LabeledPolygon
@@ -86,8 +89,8 @@ def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) ->
 
 
 def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=False,
-         want_states=False) -> tuple[str, list, list]:
-    """(word, crossing log, boundary states (side, u)): the ray as an interval exchange.
+         want_states=False) -> tuple[str, list, Iterable]:
+    """(word, crossing log, boundary states): the ray as an interval exchange.
 
     The transverse coordinate s = p x v stays constant along a segment.  The
     exit sides, in the order of s, cut it into consecutive intervals
@@ -97,6 +100,9 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
     at each end of interval j, epsilon * sigma_j wide over floats and 0 over
     Q(sqrt 2).  `bounds` alternates band and interior ends, so the bisect index
     2j + 1 is the interior of interval j and an even index a band or outside.
+    Boundary states are a list of (side, u) over floats.  Over Q(sqrt 2) they are
+    the values of s before each crossing, as a lazy iterator: s fixes the
+    interval, and so the side and u.
     """
     if cfg.mode == "exact":
         if poly.exact_vertices is None:
@@ -121,7 +127,7 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
         shifts += [tx * vy - ty * vx, zero]
         codes[2 * j + 1] = ord(poly.letter(k))
         lower += sigma
-    s = px * vy - py * vx
+    s = s0 = px * vy - py * vx
     path = bytearray()  # the bisect index of each crossing
     add = path.append
     for step in range(cfg.max_crossings):
@@ -131,12 +137,15 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
             raise VertexHit(step, _vertex_side(point, sides, vx, vy, i, one))
         add(i)
         s += shifts[i]
+    word = path.translate(codes).decode("ascii")
+    if want_states and cfg.mode == "exact":
+        return word, [], accumulate((shifts[i] for i in path[:-1]), initial=s0)
     steps = _replay(path, sides, px, py, vx, vy, one)[0] if want_log or want_states else []
     if want_log and cfg.mode == "exact":  # the log holds float points
         steps = [(i, k, u, (float(qx), float(qy))) for i, k, u, (qx, qy) in steps]
     crossings = [Crossing(chr(codes[i]), q, k) for i, k, _, q in steps] if want_log else []
     states = [(k, u) for _, k, u, _ in steps] if want_states else []
-    return path.translate(codes).decode("ascii"), crossings, states
+    return word, crossings, states
 
 
 def _locate(bounds: list, s) -> int:
@@ -187,18 +196,22 @@ def trace_word(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> s
 
 
 def detect_period(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> int | None:
-    """Smallest crossing count after which the boundary state recurs, else None.
+    """Smallest m < max_crossings after which the boundary state recurs, else None.
 
     The boundary map is invertible, so a periodic orbit returns exactly to its
-    first boundary state; floating states recur within epsilon, exact states
-    exactly.
+    first boundary state.  Floating states (side, u) recur within epsilon.  An
+    exact period is the first m with s_m == s_0, since the transverse coordinate
+    s fixes the side and u; no crossing point is replayed.  Either way the whole
+    run is traced first, so a vertex hit within max_crossings still raises.
     """
     _, _, states = _run(poly, start, d, cfg, want_states=True)
-    exact = cfg.mode == "exact"
+    if cfg.mode == "exact":
+        s0 = next(states)
+        return next((m for m, s in enumerate(states, 1) if s == s0), None)
     side0, u0 = states[0]
     for m in range(1, len(states)):
         side, u = states[m]
-        if side == side0 and (u == u0 if exact else abs(u - u0) < cfg.epsilon):
+        if side == side0 and abs(u - u0) < cfg.epsilon:
             return m
     return None
 

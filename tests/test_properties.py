@@ -1,6 +1,7 @@
 """Property tests: the word kernel, the least rotation, the Q(sqrt 2) scalar,
 the float and exact tracers and factor counts against naive references, the
-Moebius action as a homomorphism, and the text round trips of scalars and words."""
+Moebius action as a homomorphism and on integers against scalar-by-scalar
+references, and the text round trips of scalars and words."""
 
 import math
 import random
@@ -482,6 +483,76 @@ def test_moebius_action_is_homomorphism(data):
     left = moebius_apply(a @ b, d)
     right = moebius_apply(a, moebius_apply(b, d))
     assert projective(left) == projective(right)
+
+
+def scalar_moebius(m, d):
+    """The exact action one Q2Scalar operation at a time: the image vector, turned
+    so that y >= 0, then (x / y, 1), or (+-1, 0) by the sign of x."""
+    x, y = m.m11 * d.x + m.m12 * d.y, m.m21 * d.x + m.m22 * d.y
+    if y.sign() < 0:
+        x, y = -x, -y
+    if y.sign() == 0:
+        if x.sign() == 0:
+            raise ValueError("zero vector does not define a direction")
+        return ExactDirection(ONE if x.sign() > 0 else -ONE, ZERO)
+    return ExactDirection(x / y, ONE)
+
+
+def scalar_product(a, b):
+    """The exact product with eight scalar products and four sums."""
+    return Mat2(
+        a.m11 * b.m11 + a.m12 * b.m21,
+        a.m11 * b.m12 + a.m12 * b.m22,
+        a.m21 * b.m11 + a.m22 * b.m21,
+        a.m21 * b.m12 + a.m22 * b.m22,
+    )
+
+
+def big_scalars():
+    """Coefficients up to 200 bits over denominators up to 200 bits, with 0, +-1
+    and small denominators drawn often."""
+    ints = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-(2**200), 2**200))
+    dens = st.one_of(st.sampled_from((1, 2, 3)), st.integers(1, 2**200))
+    return st.builds(
+        lambda p, d, q, e: Q2Scalar(Fraction(p, d), Fraction(q, e)), ints, dens, ints, dens
+    )
+
+
+def annihilator(d, t):
+    """A matrix row (t y, -t x) whose product with the direction (x, y) is 0."""
+    return t * d.y, -t * d.x
+
+
+@FAST
+@given(st.data())
+def test_integer_action_and_product_match_scalar_reference(data):
+    d = data.draw(
+        st.one_of(
+            st.builds(ExactDirection.from_cot, big_scalars()),
+            st.builds(ExactDirection.horizontal, st.booleans()),
+        )
+    )
+    rows = [(data.draw(big_scalars()), data.draw(big_scalars())) for _ in range(2)]
+    # rows that annihilate d make the image horizontal, with either sign of x, or zero
+    image = data.draw(st.sampled_from(("any", "horizontal", "zero")))
+    if image != "any":
+        rows[1] = annihilator(d, rows[1][0])
+    if image == "zero":
+        rows[0] = annihilator(d, rows[0][0])
+    m = Mat2(*rows[0], *rows[1])
+    try:
+        ref = scalar_moebius(m, d)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got_err:
+            moebius_apply(m, d)
+        assert str(got_err.value) == str(err)
+    else:
+        got = moebius_apply(m, d)
+        assert repr(got) == repr(ref) and hash(got) == hash(ref)
+    other = Mat2(*(data.draw(big_scalars()) for _ in range(4)))
+    for a, b in ((m, other), (other, m), (m, m)):
+        got, ref = a @ b, scalar_product(a, b)
+        assert repr(got) == repr(ref) and hash(got) == hash(ref)
 
 
 # -- the tracers and factor counts ----------------------------------------------------

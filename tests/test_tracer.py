@@ -141,6 +141,34 @@ def test_detect_period_quadratic_slope():
     assert p is not None
 
 
+def test_exact_period_at_the_crossing_budget():
+    # cot = 2 + sqrt2 from (1/10, 1/7) has period 16: the return after crossing 16
+    # is seen only when a 17th boundary state is traced
+    d = ExactDirection.from_cot(q2(2, 1))
+    start = (q2(Fraction(1, 10)), q2(Fraction(1, 7)))
+    periods = [
+        detect_period(OCT, start, d, TraceConfig(max_crossings=m, mode="exact"))
+        for m in (15, 16, 17, 18, 160)
+    ]
+    assert periods == [None, None, 16, 16, 16]
+
+
+def test_exact_period_raises_a_vertex_hit_within_the_budget():
+    # The square ray of inverse slope 2/3 from (-1/4, -1/8) meets a vertex at
+    # crossing 3.  No ray can meet a vertex after the first return of s instead:
+    # from that return on it repeats the crossings before it, and each of those
+    # was checked.  What is pinned instead: the whole budget is still traced, so
+    # a hit inside it raises and a hit beyond it does not.
+    square = build_polygon(2)
+    start = (q2(Fraction(-1, 4)), q2(Fraction(-1, 8)))
+    d = ExactDirection.from_cot(q2(Fraction(2, 3)))
+    assert detect_period(square, start, d, TraceConfig(max_crossings=3, mode="exact")) is None
+    for budget in (4, 50):
+        with pytest.raises(VertexHit) as hit:
+            detect_period(square, start, d, TraceConfig(max_crossings=budget, mode="exact"))
+        assert (hit.value.crossing, hit.value.side) == (3, 0)
+
+
 def test_generic_direction_has_no_short_recurrence():
     p = detect_period(
         OCT, (0.05, -0.11), ApproxDirection(1.0), TraceConfig(max_crossings=100_000)
