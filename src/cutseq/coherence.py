@@ -14,8 +14,10 @@ Each level asks two alphabet questions: which letter pairs occur (C0, C2, the
 admissible sectors) and which letters sandwich which (C1, the sandwich
 profile).  On long words both are answered by one substring search per pair or
 sandwich of present letters (see the symbolic module docstring; short words
-and large alphabets keep one zip, which is cheaper there), so a level's only
-per-letter pass in Python is `derive`.
+and large alphabets keep one zip, which is cheaper there), and `derive` runs
+on whole-text integer and bytes operations, so a level makes no per-letter
+pass in Python.  `renormalize` derives each level once: the coherence filter
+of a later level reuses the word the previous level derived.
 """
 
 from __future__ import annotations
@@ -171,7 +173,12 @@ def decompose_candidates(w: Wordlike, i: int, n: int = 4) -> list[tuple[int, Wor
     v = derive(nw)
     if is_exhausted(v):
         return []
-    return [(j, v) for j in admissible_diagrams(v, n) if j >= 1 and _core_matches(nw, j, v, n)]
+    return [(j, v) for j in _coherent_sectors(nw, v, admissible_diagrams(v, n), n)]
+
+
+def _coherent_sectors(nw: Wordlike, v: Wordlike, found: tuple[int, ...], n: int) -> list[int]:
+    """The sectors j >= 1 among `found` (those admitting v = derive(nw)) that regenerate nw."""
+    return [j for j in found if j >= 1 and _core_matches(nw, j, v, n)]
 
 
 def decompose_generation(w: Wordlike, i: int, n: int = 4) -> tuple[int, Wordlike]:
@@ -284,8 +291,9 @@ def renormalize(
             trace.ambiguous_set = found
             return trace
         else:
-            prev = trace.steps[-1]
-            allowed = [j for j, _ in decompose_candidates(prev.word, prev.diagram, n) if j in found]
+            # cur = derive(prev.normalized) and found = admissible_diagrams(cur), so this is
+            # decompose_candidates(prev.word, prev.diagram) without deriving the level again
+            allowed = _coherent_sectors(trace.steps[-1].normalized, cur, found, n)
             if len(allowed) == 1:
                 d = allowed[0]
             elif len(allowed) == 2 and abs(allowed[0] - allowed[1]) == 1:

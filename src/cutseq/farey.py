@@ -168,6 +168,17 @@ class SectorInterval:
 
 
 def _order(a: Direction, b: Direction) -> tuple[Direction, Direction]:
+    """(a, b) by increasing angle.
+
+    Off the horizontal the angle falls as cot = x grows, so two such exact
+    directions compare their x directly, without angle_key's negated scalar.
+    """
+    if (
+        isinstance(a, ExactDirection)
+        and isinstance(b, ExactDirection)
+        and not (a.is_horizontal or b.is_horizontal)
+    ):
+        return (a, b) if b.x <= a.x else (b, a)
     return (a, b) if a.angle_key() <= b.angle_key() else (b, a)
 
 

@@ -8,7 +8,12 @@ cannot be known, so derivation drops them.  A PeriodicWord stores the primitive
 period in its lexicographically least rotation.  The wrap rule, defined once in
 `_wrapped`: a period's last letter precedes its first, so every letter of a
 period is interior.  Each per-letter pass runs over `zip` of the wrapped text
-and its shifts.
+and its shifts, except `derive` on ASCII text (every word over A-Z), which runs
+on whole-text integers and bytes.  With the text read as one big-endian
+integer, the left neighbours XOR the right neighbours have a zero byte exactly
+at the kept letters; a 256-byte table turns every other byte into 0xFF, OR-ing
+that into the letters marks the dropped ones, and `bytes.translate` deletes them.
+ASCII has no 0xFF, so every kept character survives; other text keeps the zip.
 
 Alphabet questions go through substring search instead.  A word has at most n^2
 distinct pairs `ab` and n^2 distinct sandwiches `aba`, so `transition_set` asks
@@ -432,6 +437,8 @@ def normal_form(w: Wordlike, n: int, diagram: int | None = None) -> tuple[Wordli
 
 # -- derivation --------------------------------------------------------------
 
+_NONZERO_TO_FF = bytes([0]) + b"\xff" * 255
+
 
 def derive(w: Wordlike):
     """Keep only the sandwiched letters (equal left and right neighbours).
@@ -441,7 +448,16 @@ def derive(w: Wordlike):
     survives.  Finite str input is treated as a window.
     """
     t = _wrapped(w)
-    kept = "".join(b for a, b, c in zip(t, t[1:], t[2:]) if a == c)
+    if t.isascii():
+        # read big-endian, v >> 16 holds the m left neighbours, v >> 8 the letters, v the right
+        v, m = int.from_bytes(t.encode("ascii"), "big"), max(len(t) - 2, 0)
+        mask = (1 << 8 * m) - 1
+        # a zero byte of left ^ right marks a kept letter; every other byte becomes 0xFF
+        x = ((v >> 16) ^ (v & mask)).to_bytes(m, "big").translate(_NONZERO_TO_FF)
+        mid = (((v >> 8) & mask) | int.from_bytes(x, "big")).to_bytes(m, "big")
+        kept = mid.translate(None, b"\xff").decode("ascii")
+    else:
+        kept = "".join(b for a, b, c in zip(t, t[1:], t[2:]) if a == c)
     if isinstance(w, PeriodicWord):
         return PeriodicWord.of(kept) if kept else None
     return WordWindow(kept) if isinstance(w, WordWindow) else kept
@@ -465,22 +481,14 @@ def square_derive(word: str) -> str:
     """
     check_word(word, 2)
     if "AA" not in word:
-        drop = "B"
+        keep, drop = "A", "B"
     elif "BB" not in word:
-        drop = "A"
+        keep, drop = "B", "A"
     else:
         raise InadmissibleWordError("word contains both AA and BB")
-    out = []
-    in_block = False
-    for c in word:
-        if c == drop:
-            if in_block:
-                out.append(c)
-            in_block = True
-        else:
-            out.append(c)
-            in_block = False
-    return "".join(out)
+    # a block of drops starts either after a keep or at the start of the word
+    out = word.replace(keep + drop, keep)
+    return out[1:] if word[:1] == drop else out
 
 
 # -- factors -----------------------------------------------------------------

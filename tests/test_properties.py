@@ -1,7 +1,9 @@
 """Property tests: the word kernel, the least rotation, the Q(sqrt 2) scalar,
-the float and exact tracers and factor counts against naive references, the
-Moebius action as a homomorphism and on integers against scalar-by-scalar
-references, and the text round trips of scalars and words."""
+the float and exact tracers and factor counts against naive references,
+renormalization against the route that derives each level twice, the order of
+exact directions against their angle keys, the Moebius action as a homomorphism
+and on integers against scalar-by-scalar references, and the text round trips
+of scalars and words."""
 
 import math
 import random
@@ -12,7 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutseq.coherence import _core_matches, decompose_candidates, sandwich_profile
+from cutseq.coherence import (
+    RenormalizationStep,
+    RenormalizationTrace,
+    _core_matches,
+    _is_fixed_tail_word,
+    _resolve_split,
+    decompose_candidates,
+    renormalize,
+    sandwich_profile,
+)
 from cutseq.exact_arith import (
     ONE,
     ZERO,
@@ -23,10 +34,11 @@ from cutseq.exact_arith import (
     SingularMatrixError,
     moebius_apply,
 )
-from cutseq.farey import farey_branch
+from cutseq.farey import _order, farey_branch
 from cutseq.generation import generate
 from cutseq.polygon import build_polygon, isometry_nu
 from cutseq.symbolic import (
+    InadmissibleWordError,
     LetterPermutation,
     PeriodicWord,
     WordWindow,
@@ -35,16 +47,25 @@ from cutseq.symbolic import (
     derive,
     factor_counts_upto,
     format_word,
+    is_exhausted,
     least_rotation,
     letters_for,
     parse_word,
     permute,
     sector_permutation,
+    square_derive,
     transition_set,
     transitions,
     word_text,
 )
-from cutseq.tracer import TraceConfig, VertexHit, detect_period, trace, trace_word
+from cutseq.tracer import (
+    TraceConfig,
+    VertexHit,
+    detect_period,
+    random_interior_point,
+    trace,
+    trace_word,
+)
 
 FAST = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -269,6 +290,170 @@ def test_generation_inverts_derivation(data):
     assert derive(generate(k, 0, w)) == w
 
 
+@FAST
+@given(long_words())
+@example((4, ""))
+@example((4, "A"))
+@example((4, WordWindow("AB")))
+@example((4, "ABA"))
+@example((4, WordWindow("ABA")))
+@example((4, PeriodicWord.of("B")))  # period 1: every letter sandwiched by itself
+@example((4, PeriodicWord.of("AD")))  # period 2: every letter kept
+@example((4, PeriodicWord.of("ADA")))
+def test_bytes_derive_matches_naive_reference(nw):
+    _, w = nw
+    assert derive(w) == naive_derive(w)
+
+
+def foreign_inserts():
+    """1-5 (position, character) inserts: ASCII controls only (the text stays on the
+    bytes route of derive) or any of them, Latin-1 and Greek."""
+    return st.sampled_from(["\x00\x7f", "\x00\x7f\xe9\xff\u03a9"]).flatmap(
+        lambda chars: st.lists(st.tuples(st.integers(0, 5000), st.sampled_from(chars)),
+                               min_size=1, max_size=5))
+
+
+@FAST
+@given(long_words(), foreign_inserts(), st.sampled_from(["str", "window", "periodic"]))
+@example((3, "AA" * 40), [(1, "\x00")], "str")  # A NUL A: the NUL is kept
+@example((3, "ABC" * 40), [(1, "\x00"), (3, "\x00")], "str")  # NUL B NUL
+@example((3, "ABA"), [(0, "\x7f"), (4, "\x7f")], "periodic")
+@example((3, "ABA"), [(2, "\xff")], "window")
+def test_derive_outside_the_alphabet_matches_naive_reference(nw, inserts, kind):
+    text = word_text(nw[1])
+    for pos, c in inserts:
+        pos %= len(text) + 1
+        text = text[:pos] + c + text[pos:]
+    w = as_kind(kind, text)
+    assert derive(w) == naive_derive(w)
+
+
+def loop_square_derive(word):
+    """square_derive one letter at a time: the first letter of each block of the
+    dropped letter goes."""
+    if "AA" not in word:
+        drop = "B"
+    elif "BB" not in word:
+        drop = "A"
+    else:
+        raise InadmissibleWordError("word contains both AA and BB")
+    out = []
+    in_block = False
+    for c in word:
+        if c == drop:
+            if in_block:
+                out.append(c)
+            in_block = True
+        else:
+            out.append(c)
+            in_block = False
+    return "".join(out)
+
+
+@FAST
+@given(st.text(alphabet="AB", max_size=40))
+@example("")
+@example("BBAB")
+@example("AABAAAB")
+def test_square_derive_matches_letter_loop(word):
+    try:
+        expected = loop_square_derive(word)
+    except InadmissibleWordError:
+        with pytest.raises(InadmissibleWordError):
+            square_derive(word)
+        return
+    assert square_derive(word) == expected
+
+
+# -- renormalization against the route that derives each level twice --------------
+
+
+def reference_renormalize(w, max_depth, n, start_diagram=None):
+    """renormalize with a later level's entry filtered by decompose_candidates of the
+    previous word, which permutes and derives that word once more."""
+    trace = RenormalizationTrace()
+    cur = w
+    for k in range(max_depth):
+        if is_exhausted(cur):
+            trace.failure = "window_exhausted"
+            return trace
+        found = admissible_diagrams(cur, n)
+        if not found:
+            trace.failure = "inadmissible"
+            return trace
+        if k == 0 and start_diagram is not None:
+            if start_diagram not in found:
+                trace.failure = "inadmissible"
+                return trace
+            d = start_diagram
+        elif len(found) == 1:
+            d = found[0]
+        elif k == 0:
+            trace.failure = "ambiguous"
+            trace.ambiguous_set = found
+            return trace
+        else:
+            prev = trace.steps[-1]
+            allowed = [j for j, _ in decompose_candidates(prev.word, prev.diagram, n) if j in found]
+            if len(allowed) == 1:
+                d = allowed[0]
+            elif len(allowed) == 2 and abs(allowed[0] - allowed[1]) == 1:
+                trace.split = (k, tuple(sorted(allowed)))
+                d = _resolve_split(cur, allowed, n)
+            else:
+                trace.failure = "ambiguous"
+                trace.ambiguous_set = found
+                return trace
+        normalized = permute(sector_permutation(d, n), cur)
+        trace.steps.append(RenormalizationStep(cur, d, normalized))
+        if _is_fixed_tail_word(cur, d, n):
+            trace.tail = d
+            for _ in range(k + 1, max_depth):
+                trace.steps.append(RenormalizationStep(cur, d, normalized))
+            return trace
+        cur = derive(normalized)
+    return trace
+
+
+@st.composite
+def traced_windows(draw):
+    """(n, window of 50-5000 letters traced on the octagon or dodecagon at a random
+    direction)."""
+    n = draw(st.sampled_from((4, 6)))
+    poly = build_polygon(n)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cfg = TraceConfig(max_crossings=draw(st.integers(50, 5000)))
+    start, theta = random_interior_point(poly, rng), rng.uniform(0, math.pi)
+    return n, WordWindow(trace_word(poly, start, ApproxDirection(theta), cfg))
+
+
+@st.composite
+def generated_periodic(draw):
+    """(4, an admissible periodic word generated through up to three more sectors)."""
+    k = draw(st.integers(1, 7))
+    w = draw(admissible_periodic(k))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, 7))
+        w, k = generate(k, i, w), i
+    return 4, generate(k, draw(st.integers(0, 7)), w)
+
+
+@FAST
+@given(st.one_of(traced_windows(), generated_periodic()), st.integers(1, 8),
+       st.none() | st.integers(0, 11))
+@example((4, PeriodicWord.of("AD")), 5, None)  # ambiguous at the first level
+@example((4, PeriodicWord.of("AD")), 5, 1)  # a fixed tail word
+def test_renormalize_matches_twice_derived_reference(nw, depth, start):
+    n, w = nw
+    start = None if start is None else start % (2 * n)
+    got = renormalize(w, depth, n, start)
+    ref = reference_renormalize(w, depth, n, start)
+    assert got.diagrams == ref.diagrams
+    assert got.split == ref.split
+    assert got.failure == ref.failure
+    assert got.steps == ref.steps
+
+
 # -- text round trips ------------------------------------------------------------
 
 
@@ -483,6 +668,17 @@ def test_moebius_action_is_homomorphism(data):
     left = moebius_apply(a @ b, d)
     right = moebius_apply(a, moebius_apply(b, d))
     assert projective(left) == projective(right)
+
+
+@FAST
+@given(exact_directions(), exact_directions())
+@example(ExactDirection.horizontal(True), ExactDirection.horizontal(False))
+@example(ExactDirection.horizontal(False), ExactDirection.from_cot(Q2Scalar(-3, 1)))
+@example(ExactDirection.from_cot(Q2Scalar(1, 1)), ExactDirection.from_cot(Q2Scalar(1, 1)))
+def test_order_agrees_with_angle_key(a, b):
+    expected = (a, b) if a.angle_key() <= b.angle_key() else (b, a)
+    got = _order(a, b)
+    assert got == expected and got[0] is expected[0]
 
 
 def scalar_moebius(m, d):
