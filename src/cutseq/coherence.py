@@ -25,13 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .farey import SectorInterval, sector_interval
-from .generation import generate, sandwich_group, synthesize_table
+from .generation import _generate_admitted, sandwich_group, synthesize_table
 from .symbolic import (
     AmbiguousDiagramError,
     CutseqError,
     InadmissibleWordError,
     PeriodicWord,
     Wordlike,
+    _held,
     _search_alphabet,
     _wrapped,
     admissible_diagrams,
@@ -119,18 +120,20 @@ def check_coherent(w: Wordlike, i: int, j: int, n: int = 4) -> CoherenceVerdict:
 def _core_matches(nw: Wordlike, j: int, v: Wordlike, n: int) -> bool:
     """Does regenerating v with sector-j rules reproduce the normalized word?
 
-    Periodic words must match exactly (as rotations).  For a window only the
-    stretch between its first and last sandwiched letters is determined by v,
-    and the overhanging stubs must be a suffix and a prefix of interpolating
-    words of the right sector.
+    Sector j (1 <= j < 2n) must admit v, as every sector of
+    `admissible_diagrams(v)` does, so generation skips that check.  Periodic
+    words must match exactly (as rotations).  For a window only the stretch
+    between its first and last sandwiched letters is determined by v, and the
+    overhanging stubs must be a suffix and a prefix of interpolating words of
+    the right sector.
     """
     if isinstance(nw, PeriodicWord):
-        return generate(j, 0, v, n) == nw
+        return _generate_admitted(j, 0, v, n) == nw
     s = word_text(nw)
     vtext = word_text(v)
     lo = _first_sandwiched(s)
     hi = len(s) - 1 - _first_sandwiched(s[::-1])
-    if s[lo : hi + 1] != generate(j, 0, vtext, n):
+    if s[lo : hi + 1] != _generate_admitted(j, 0, vtext, n):
         return False
     table = synthesize_table(n)
     return _is_suffix_of_rule(s[:lo], table, j, vtext[0]) and _is_prefix_of_rule(
@@ -247,7 +250,7 @@ def _resolve_split(cur: Wordlike, pair: list[int], n: int) -> int:
 def _is_fixed_tail_word(w: Wordlike, d: int, n: int) -> bool:
     return (
         isinstance(w, PeriodicWord)
-        and len(w.period) <= 2
+        and len(_held(w)) <= 2
         and d in (1, 2 * n - 1)
         and permute(sector_permutation(d, n), w) == w
     )

@@ -24,6 +24,7 @@ from .symbolic import (
     TransitionDiagram,
     Wordlike,
     WordWindow,
+    _held,
     _pairs,
     boundary_diagram,
     build_diagram,
@@ -157,13 +158,21 @@ def generate(k: int, i: int, w: Wordlike, n: int = 4) -> Wordlike:
         raise InvalidPrefixError(f"source diagram {k} outside 1..{2 * n - 1}")
     if not 0 <= i <= 2 * n - 1:
         raise InvalidPrefixError(f"target diagram {i} outside 0..{2 * n - 1}")
-    insertions = _insertions(k, n)
+    _insertions(k, n)  # an alphabet too small for generation fails before admissibility
     if not build_diagram(k, n).admits(w):
         raise InadmissibleWordError(f"word {word_text(w)!r} not admissible in diagram {k}")
-    s = word_text(w)
+    return _generate_admitted(k, i, w, n)
+
+
+def _generate_admitted(k: int, i: int, w: Wordlike, n: int) -> Wordlike:
+    """`generate` for sectors in range and a word already known to be admissible in k.
+
+    A periodic word is interpolated from the rotation it holds.
+    """
+    s = _held(w)
     if not s:
         return w
-    body = "".join(map(insertions.__getitem__, _pairs(w)))
+    body = "".join(map(_insertions(k, n).__getitem__, _pairs(w, held=True)))
     if isinstance(w, PeriodicWord):
         out: Wordlike = PeriodicWord.of(body)
     elif isinstance(w, WordWindow):
@@ -256,6 +265,6 @@ def enumerate_factors(
         else:
             stable = 0
         previous = fs
-        if max(len(word_text(w)) for w in family) > max_word_length:
+        if max(len(_held(w)) for w in family) > max_word_length:
             break
     return factors

@@ -4,16 +4,22 @@ Letters are the characters A, B, C, ... (letter j of an alphabet of size n is
 chr(ord('A') + j - 1); alphabets up to n = 26 are supported, which covers every
 polygon anyone draws).  A finite word is a plain str.  A WordWindow is a finite
 stretch of a bi-infinite word: whether its first and last letters are sandwiched
-cannot be known, so derivation drops them.  A PeriodicWord stores the primitive
-period in its lexicographically least rotation.  The wrap rule, defined once in
-`_wrapped`: a period's last letter precedes its first, so every letter of a
-period is interior.  Each per-letter pass runs over `zip` of the wrapped text
-and its shifts, except `derive` on ASCII text (every word over A-Z), which runs
-on whole-text integers and bytes.  With the text read as one big-endian
-integer, the left neighbours XOR the right neighbours have a zero byte exactly
-at the kept letters; a 256-byte table turns every other byte into 0xFF, OR-ing
-that into the letters marks the dropped ones, and `bytes.translate` deletes them.
-ASCII has no 0xFF, so every kept character survives; other text keeps the zip.
+cannot be known, so derivation drops them.  A PeriodicWord holds its primitive
+period in the rotation it was built from.  It computes the canonical rotation
+(the lexicographically least) once, on first use, for what prints, hashes or
+reads letters in order; equality asks whether one held period occurs in the
+other doubled.  Questions whose answer no rotation changes (derivation,
+permutation, transition sets, generation, factor sets, emptiness) read the held
+rotation through `_held`, so building and taking apart periodic words never
+canonicalizes them.  The wrap rule, defined once in `_wrapped`: a period's last
+letter precedes its first, so every letter of a period is interior.  Each
+per-letter pass runs over `zip` of the wrapped text and its shifts, except
+`derive` on ASCII text (every word over A-Z), which runs on whole-text integers
+and bytes.  With the text read as one big-endian integer, the left neighbours
+XOR the right neighbours have a zero byte exactly at the kept letters; a
+256-byte table turns every other byte into 0xFF, OR-ing that into the letters
+marks the dropped ones, and `bytes.translate` deletes them.  ASCII has no 0xFF,
+so every kept character survives; other text keeps the zip.
 
 Alphabet questions go through substring search instead.  A word has at most n^2
 distinct pairs `ab` and n^2 distinct sandwiches `aba`, so `transition_set` asks
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 LETTERS = string.ascii_uppercase
 MAX_ALPHABET = len(LETTERS)
@@ -149,24 +155,50 @@ def least_rotation(word: str) -> str:
     return s[i : i + m]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PeriodicWord:
-    """A bi-infinite periodic word, stored as its canonical primitive period."""
+    """A bi-infinite periodic word: its primitive period, held in any rotation.
 
-    period: str
+    `period` is the canonical rotation, the least, computed on first use and
+    cached; `str`, `repr`, `hash` and `window` go through it, so they do not
+    depend on the rotation held.  Two words are equal when their held periods
+    are rotations of each other.
+    """
+
+    _text: str  # the primitive period, in the rotation it was built from
 
     @classmethod
     def of(cls, word: str) -> PeriodicWord:
         if not word:
             raise CutseqError("empty period")
-        return cls(least_rotation(primitive_period(word)))
+        return cls(primitive_period(word))
+
+    @cached_property
+    def period(self) -> str:
+        return least_rotation(self._text)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PeriodicWord):
+            return NotImplemented
+        a, b = self._text, other._text
+        return len(a) == len(b) and a in b + b
+
+    def __hash__(self) -> int:
+        return hash((self.period,))
+
+    def __repr__(self) -> str:
+        return f"PeriodicWord(period={self.period!r})"
 
     def __str__(self) -> str:
         return f"per:{self.period}"
 
     def window(self, length: int) -> WordWindow:
-        reps = -(-length // len(self.period))
-        return WordWindow((self.period * (reps + 1))[:length])
+        return WordWindow(_repeat(self.period, length))
+
+
+def _repeat(p: str, length: int) -> str:
+    """The first `length` letters of p repeated."""
+    return (p * (length // len(p) + 1))[:length]
 
 
 @dataclass(frozen=True)
@@ -192,8 +224,17 @@ Wordlike = str | WordWindow | PeriodicWord
 
 
 def word_text(w: Wordlike) -> str:
+    """The letters of w, a periodic word's canonical period."""
+    return w.period if isinstance(w, PeriodicWord) else _held(w)
+
+
+def _held(w: Wordlike) -> str:
+    """The letters of w, a periodic word's period in the rotation it holds.
+
+    For every question whose answer does not depend on rotation (module doc).
+    """
     if isinstance(w, PeriodicWord):
-        return w.period
+        return w._text
     if isinstance(w, WordWindow):
         return w.letters
     return w
@@ -201,20 +242,23 @@ def word_text(w: Wordlike) -> str:
 
 def is_exhausted(w: Wordlike | None) -> bool:
     """No letters left to derive: None, or a window or str with no letters."""
-    return w is None or not word_text(w)
+    return w is None or not _held(w)
 
 
-def _wrapped(w: Wordlike) -> str:
-    """The letters of w with their neighbours attached by the wrap rule (module doc)."""
+def _wrapped(w: Wordlike, held: bool = False) -> str:
+    """The letters of w with their neighbours attached by the wrap rule (module doc).
+
+    A periodic word wraps its canonical period, or with `held` the rotation it holds.
+    """
     if isinstance(w, PeriodicWord):
-        p = w.period
+        p = _held(w) if held else w.period
         return p[-1] + p + p[0]
     return word_text(w)
 
 
-def _pairs(w: Wordlike):
+def _pairs(w: Wordlike, held: bool = False):
     """Adjacent letter pairs in order; a periodic word's wrap pair comes last."""
-    t = _wrapped(w)
+    t = _wrapped(w, held)
     return zip(t[1:], t[2:]) if isinstance(w, PeriodicWord) else zip(t, t[1:])
 
 
@@ -247,7 +291,7 @@ def transition_set(w: Wordlike) -> frozenset[tuple[str, str]]:
     The wrapped text has the same pairs as `_pairs`; long texts are searched
     once per pair of present letters (module doc).
     """
-    t = _wrapped(w)
+    t = _wrapped(w, held=True)
     letters = _search_alphabet(t)
     if letters is None:
         return frozenset(zip(t, t[1:]))
@@ -409,7 +453,8 @@ def admissible_diagrams(w: Wordlike, n: int) -> tuple[int, ...]:
 
 def permute(perm: LetterPermutation, w: Wordlike) -> Wordlike:
     if isinstance(w, PeriodicWord):
-        return PeriodicWord.of(perm.apply_word(w.period))
+        # a bijection of letters keeps a primitive period primitive
+        return PeriodicWord(perm.apply_word(_held(w)))
     if isinstance(w, WordWindow):
         return WordWindow(perm.apply_word(w.letters), w.left_truncated, w.right_truncated)
     return perm.apply_word(w)
@@ -447,7 +492,7 @@ def derive(w: Wordlike):
     truncated; periodic words wrap around and may derive to None when no letter
     survives.  Finite str input is treated as a window.
     """
-    t = _wrapped(w)
+    t = _wrapped(w, held=True)
     if t.isascii():
         # read big-endian, v >> 16 holds the m left neighbours, v >> 8 the letters, v the right
         v, m = int.from_bytes(t.encode("ascii"), "big"), max(len(t) - 2, 0)
@@ -502,13 +547,27 @@ def _check_factor_length(length: int, available: int, name: str) -> None:
         raise CutseqError(f"{name} exceeds word length")
 
 
+def _block_factors(word: str, length: int) -> set[str]:
+    """The distinct factors of the given length, read from aligned blocks.
+
+    Every factor lies inside one of the blocks of length 2 * length - 1 that
+    start at multiples of length, so the factors are the windows of the
+    distinct blocks.  A cutting sequence has (n-1)k+1 factors of length k,
+    hence few distinct blocks, and the pass over the word takes one slice per
+    `length` letters instead of one per letter.
+    """
+    span = 2 * length - 1
+    blocks = {word[k : k + span] for k in range(0, len(word) - length + 1, length)}
+    return {b[i : i + length] for b in blocks for i in range(len(b) - length + 1)}
+
+
 def factor_set(w: Wordlike, length: int) -> frozenset[str]:
     """All distinct contiguous subwords of the given length."""
+    s = _held(w)
     if isinstance(w, PeriodicWord):
-        w = w.window(len(w.period) + length - 1)
-    s = word_text(w)
+        s = _repeat(s, len(s) + length - 1)
     _check_factor_length(length, len(s), "factor length")
-    return frozenset(s[i : i + length] for i in range(len(s) - length + 1))
+    return frozenset(_block_factors(s, length))
 
 
 def factor_count(w: Wordlike, length: int) -> int:
@@ -518,19 +577,15 @@ def factor_count(w: Wordlike, length: int) -> int:
 def factor_counts_upto(word: str, max_length: int) -> dict[int, int]:
     """Distinct-factor counts for every length 1..max_length, in one pass.
 
-    Every factor of length L = max_length lies inside one of the blocks of
-    length 2L - 1 that start at multiples of L, so the L-factors are the windows
-    of the distinct blocks.  A cutting sequence has (n-1)k+1 factors of length k,
-    hence few distinct blocks, and the pass over the word takes one slice per L
-    letters instead of one per letter.  Every factor of length l starting at
-    position i <= len - L is the prefix of the L-factor at i, so shorter counts
-    come from prefixes of the long factor set plus the handful of windows inside
+    The factors of length L = max_length come from aligned blocks
+    (`_block_factors`).  Every factor of length l starting at position
+    i <= len - L is the prefix of the L-factor at i, so shorter counts come
+    from prefixes of the long factor set plus the handful of windows inside
     the tail.
     """
     m = len(word)
     _check_factor_length(max_length, m, "max_length")
-    blocks = {word[k : k + 2 * max_length - 1] for k in range(0, m - max_length + 1, max_length)}
-    top = {b[i : i + max_length] for b in blocks for i in range(len(b) - max_length + 1)}
+    top = _block_factors(word, max_length)
     counts: dict[int, int] = {max_length: len(top)}
     for length in range(1, max_length):
         fs = {f[:length] for f in top}

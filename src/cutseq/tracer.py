@@ -100,8 +100,8 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
     at each end of interval j, epsilon * sigma_j wide over floats and 0 over
     Q(sqrt 2).  `bounds` alternates band and interior ends, so the bisect index
     2j + 1 is the interior of interval j and an even index a band or outside.
-    Boundary states are a list of (side, u) over floats.  Over Q(sqrt 2) they are
-    the values of s before each crossing, as a lazy iterator: s fixes the
+    Boundary states are a lazy iterator: of (side, u) over floats, and over
+    Q(sqrt 2) of the values of s before each crossing, since s fixes the
     interval, and so the side and u.
     """
     if cfg.mode == "exact":
@@ -133,19 +133,23 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
     for step in range(cfg.max_crossings):
         i = locate(bounds, s)
         if not i & 1:
-            _, point = _replay(path, sides, px, py, vx, vy, one)
+            point = px, py  # the entry point after the path: the last one replayed
+            for *_, point in _replay(path, sides, px, py, vx, vy, one):
+                pass
             raise VertexHit(step, _vertex_side(point, sides, vx, vy, i, one))
         add(i)
         s += shifts[i]
     word = path.translate(codes).decode("ascii")
     if want_states and cfg.mode == "exact":
         return word, [], accumulate((shifts[i] for i in path[:-1]), initial=s0)
-    steps = _replay(path, sides, px, py, vx, vy, one)[0] if want_log or want_states else []
-    if want_log and cfg.mode == "exact":  # the log holds float points
-        steps = [(i, k, u, (float(qx), float(qy))) for i, k, u, (qx, qy) in steps]
-    crossings = [Crossing(chr(codes[i]), q, k) for i, k, _, q in steps] if want_log else []
-    states = [(k, u) for _, k, u, _ in steps] if want_states else []
-    return word, crossings, states
+    if not (want_log or want_states):
+        return word, [], []
+    steps = _replay(path, sides, px, py, vx, vy, one)
+    if want_states:
+        return word, [], ((k, u) for _, k, u, _, _ in steps)
+    # the log holds float points
+    return word, [Crossing(chr(codes[i]), (float(x), float(y)), k)
+                  for i, k, _, (x, y), _ in steps], []
 
 
 def _locate(bounds: list, s) -> int:
@@ -155,19 +159,17 @@ def _locate(bounds: list, s) -> int:
 
 
 def _replay(path: bytearray, sides: list[tuple], px, py, vx, vy, one):
-    """((bisect index, side, u, exit point) per crossing, the point after the path).
+    """(bisect index, side, u, exit point, entry point) per crossing, lazily.
 
     The side-by-side arithmetic, replayed along the sides the interval exchange
     picked, so points and u are those of a side-by-side trace.
     """
-    steps = []
     for i in path:
         ax, ay, ex, ey, tx, ty, sigma, k = sides[i // 2]
         u = ((px - ax) * vy - (py - ay) * vx) * (one / sigma)
         qx, qy = ax + u * ex, ay + u * ey
-        steps.append((i, k, u, (qx, qy)))
         px, py = qx + tx, qy + ty
-    return steps, (px, py)
+        yield i, k, u, (qx, qy), (px, py)
 
 
 def _vertex_side(point: tuple, sides: list[tuple], vx, vy, i: int, one) -> int:
@@ -201,19 +203,19 @@ def detect_period(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -
     The boundary map is invertible, so a periodic orbit returns exactly to its
     first boundary state.  Floating states (side, u) recur within epsilon.  An
     exact period is the first m with s_m == s_0, since the transverse coordinate
-    s fixes the side and u; no crossing point is replayed.  Either way the whole
-    run is traced first, so a vertex hit within max_crossings still raises.
+    s fixes the side and u; no crossing point is replayed.  Floating states are
+    replayed up to the first recurrence only.  Either way the whole run is
+    traced first, so a vertex hit within max_crossings still raises.
     """
     _, _, states = _run(poly, start, d, cfg, want_states=True)
     if cfg.mode == "exact":
         s0 = next(states)
         return next((m for m, s in enumerate(states, 1) if s == s0), None)
-    side0, u0 = states[0]
-    for m in range(1, len(states)):
-        side, u = states[m]
-        if side == side0 and abs(u - u0) < cfg.epsilon:
-            return m
-    return None
+    side0, u0 = next(states)
+    eps = cfg.epsilon
+    return next(
+        (m for m, (side, u) in enumerate(states, 1) if side == side0 and abs(u - u0) < eps), None
+    )
 
 
 def random_interior_point(

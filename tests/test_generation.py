@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from cutseq.coherence import decompose_candidates
 from cutseq.exact_arith import ApproxDirection
 from cutseq.generation import (
     InvalidPrefixError,
@@ -19,6 +21,7 @@ from cutseq.symbolic import (
     CutseqError,
     InadmissibleWordError,
     PeriodicWord,
+    WordWindow,
     build_diagram,
     derive,
     factor_set,
@@ -283,3 +286,40 @@ def test_family_members_are_periodic_cutting_sequences():
 def test_seeds_reject_alphabet_size(n):
     with pytest.raises(CutseqError, match="alphabet size"):
         periodic_seeds(1, n)
+
+
+def _generation_outputs():
+    """Printed outputs of generate, decompose_candidates, build_family and
+    enumerate_factors on fixed-seed inputs: periodic words, windows and str over
+    n = 3..5, families along random prefixes and factor sets of prefixes and
+    float directions."""
+    rng = random.Random(2011)
+    out = []
+    for n in (3, 4, 5):
+        for k in range(1, 2 * n):
+            for _ in range(6):
+                w = random_cycle(build_diagram(k, n), rng)
+                i = rng.randrange(2 * n)
+                text = w.window(rng.randint(1, 30)).letters
+                for x in (w, text, WordWindow(text)):
+                    g = generate(k, i, x, n)
+                    out += [repr(g), repr(decompose_candidates(g, i, n))]
+    for _ in range(30):
+        n = rng.choice((3, 4, 4, 5))
+        prefix = (rng.randrange(2 * n),) + tuple(
+            rng.randint(1, 2 * n - 1) for _ in range(rng.randint(0, 3))
+        )
+        out.append(repr(sorted(build_family(prefix, n=n), key=str)))
+    for _ in range(6):
+        prefix = (rng.randrange(8),) + tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 4)))
+        out.append(repr(sorted(enumerate_factors(prefix, rng.randint(1, 12)))))
+        theta = rng.uniform(0.05, math.pi - 0.05)
+        out.append(repr(sorted(enumerate_factors(ApproxDirection(theta), rng.randint(1, 12), 12))))
+    return out
+
+
+def test_generation_outputs_digest():
+    # computed when every PeriodicWord was stored in its least rotation: the rotation a
+    # word holds changes no output
+    digest = hashlib.sha256("\n".join(_generation_outputs()).encode()).hexdigest()
+    assert digest == "4d1bc2f9f22fa09f646efe8dcbeebbd2dc367d665e027eca099bd2c6374ffd66"

@@ -1,5 +1,6 @@
 """Property tests: the word kernel, the least rotation, the Q(sqrt 2) scalar,
-the float and exact tracers and factor counts against naive references,
+the float and exact tracers, factor sets and factor counts against naive
+references, periodic words built from every rotation against the canonical one,
 renormalization against the route that derives each level twice, the order of
 exact directions against their angle keys, the Moebius action as a homomorphism
 and on integers against scalar-by-scalar references, and the text round trips
@@ -38,6 +39,7 @@ from cutseq.farey import _order, farey_branch
 from cutseq.generation import generate
 from cutseq.polygon import build_polygon, isometry_nu
 from cutseq.symbolic import (
+    CutseqError,
     InadmissibleWordError,
     LetterPermutation,
     PeriodicWord,
@@ -46,6 +48,7 @@ from cutseq.symbolic import (
     build_diagram,
     derive,
     factor_counts_upto,
+    factor_set,
     format_word,
     is_exhausted,
     least_rotation,
@@ -288,6 +291,57 @@ def test_generation_inverts_derivation(data):
     w = data.draw(admissible_periodic(k))
     assert build_diagram(k, 4).admits(w)
     assert derive(generate(k, 0, w)) == w
+
+
+@FAST
+@given(st.data())
+def test_held_rotation_is_invisible(data):
+    """A periodic word built from any rotation of its period matches the canonical
+    word in what it prints and hashes, and in every word operation."""
+    k, i = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    j = data.draw(st.integers(0, 7))
+    w = data.draw(admissible_periodic(k))
+    perm = LetterPermutation(tuple(data.draw(st.permutations("ABCD"))))
+    length = data.draw(st.integers(1, 60))
+    # w is admissible in k, its image in i
+    for x, sector in ((w, k), (generate(k, i, w), i)):
+        p = x.period
+        canon = PeriodicWord.of(p)
+        assert hash(canon) == hash((p,))  # the hash of a dataclass with the one field p
+        if len(p) > 1:
+            assert canon != PeriodicWord.of(p[:-1])  # a factor of p + p, but shorter
+        for r in range(len(p)):
+            rot = PeriodicWord.of(p[r:] + p[:r])
+            assert rot == canon and canon == rot and hash(rot) == hash(canon)
+            assert (str(rot), repr(rot), rot.period) == (str(canon), repr(canon), p)
+            assert rot.window(length) == canon.window(length)
+            for op in (derive, lambda y: permute(perm, y), lambda y: generate(sector, j, y),
+                       lambda y: decompose_candidates(y, sector)):
+                got, want = op(rot), op(canon)
+                assert got == want and repr(got) == repr(want)
+            assert transition_set(rot) == transition_set(canon)
+            assert transitions(rot) == transitions(canon)
+            assert list(sandwich_profile(rot).items()) == list(sandwich_profile(canon).items())
+
+
+@FAST
+@given(st.one_of(words(), long_words()), st.integers(1, 60))
+@example((4, PeriodicWord.of("AD")), 7)
+@example((4, "ADADADAD"), 8)
+@example((4, "ADADADA"), 8)
+def test_factor_set_matches_naive_reference(nw, length):
+    _, w = nw
+    text = word_text(w)
+    if isinstance(w, PeriodicWord):
+        cyclic = text * (length // len(text) + 2)
+        starts = range(len(text))
+    else:
+        cyclic, starts = text, range(len(text) - length + 1)
+        if length > len(text):
+            with pytest.raises(CutseqError):
+                factor_set(w, length)
+            return
+    assert factor_set(w, length) == {cyclic[s : s + length] for s in starts}
 
 
 @FAST
