@@ -12,12 +12,14 @@ trajectory realizing the word.
 
 Each level asks two alphabet questions: which letter pairs occur (C0, C2, the
 admissible sectors) and which letters sandwich which (C1, the sandwich
-profile).  On long words both are answered by one substring search per pair or
-sandwich of present letters (see the symbolic module docstring; short words
-and large alphabets keep one zip, which is cheaper there), and `derive` runs
-on whole-text integer and bytes operations, so a level makes no per-letter
-pass in Python.  `renormalize` derives each level once: the coherence filter
-of a later level reuses the word the previous level derived.
+profile).  On long words both read one pass of pair codes, one byte per
+adjacent pair, with the pairs that are not the start of a sandwich masked to
+0xFF for the profile; each pair or sandwich of present letters is then one byte
+search (see the symbolic module docstring; short words and large alphabets keep
+one zip, which is cheaper there).  `derive` runs on whole-text integer and
+bytes operations, so a level makes no per-letter pass in Python.  `renormalize`
+derives each level once: the coherence filter of a later level reuses the word
+the previous level derived.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .symbolic import (
     PeriodicWord,
     Wordlike,
     _held,
-    _search_alphabet,
+    _mark_unsandwiched,
+    _pair_codes,
     _wrapped,
     admissible_diagrams,
     build_diagram,
@@ -61,17 +64,21 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
     order of their first sandwiched occurrence.
     """
     t = _wrapped(w)
-    letters = _search_alphabet(t)
-    if letters is None:
+    coded = _pair_codes(t)
+    if coded is None:
         prof: dict[str, set[str]] = {}
         # dict.fromkeys: distinct pairs, letters in order of first sandwiched occurrence
         for letter, left in dict.fromkeys((b, a) for a, b, c in zip(t, t[1:], t[2:]) if a == c):
             prof.setdefault(letter, set()).add(left)
         return {letter: frozenset(v) for letter, v in prof.items()}
+    letters, codes, pairs = coded
+    m = len(t) - 2
+    # byte i: the code of the pair t[i] t[i + 1] where t[i + 2] == t[i], else 0xFF
+    sandwiches = _mark_unsandwiched(pairs >> 8, codes, m)
     found = []
-    for b in letters:
-        # one C search per sandwich aba; the first position of each letter orders the keys
-        hits = [(i, a) for a in letters if (i := t.find(a + b + a)) >= 0]
+    for y, b in enumerate(letters):
+        # the first sandwich aba of each a; the first position of each letter orders the keys
+        hits = [(i, a) for x, a in enumerate(letters) if (i := sandwiches.find(8 * x + y)) >= 0]
         if hits:
             found.append((min(hits)[0], b, frozenset(a for _, a in hits)))
     return {b: lefts for _, b, lefts in sorted(found)}

@@ -21,16 +21,19 @@ XOR the right neighbours have a zero byte exactly at the kept letters; a
 marks the dropped ones, and `bytes.translate` deletes them.  ASCII has no 0xFF,
 so every kept character survives; other text keeps the zip.
 
-Alphabet questions go through substring search instead.  A word has at most n^2
-distinct pairs `ab` and n^2 distinct sandwiches `aba`, so `transition_set` asks
-`a + b in t` once per pair of letters present in the wrapped text (the wrap
-adds no pair a period lacks), and `coherence.sandwich_profile` asks
-`t.find(a + b + a)`.  Each search runs in C (`fastsearch`), so the cost follows
-the alphabet, not the word's length; `TransitionDiagram.admits` and
-`admissible_diagrams` inherit it.  `_search_alphabet` decides the route once
-for both: the n^2 searches lose to one zip over the text on short texts (the
-fixed cost of n^2 calls) and on large alphabets (each absent pair or sandwich
-scans the whole text), so there the zip stays.
+Alphabet questions read one code per adjacent pair instead (`_pair_codes`).  On
+a long text over at most six letters A-Z, one 256-byte table maps each letter
+to a 3-bit code and every other character to 0xFF (a 0xFF sends the text to the
+zip).  Read as one integer v, the codes give each adjacent pair its own byte,
+((v >> 8) << 3) | (the low bytes of v): 8 * code(left) + code(right).
+`transition_set` asks `8x + y in pair_bytes` once per pair of present letters
+(the wrap adds no pair a period lacks), a `memchr` in C, so besides a few
+whole-text passes in C the cost follows the alphabet, not the word's length;
+`TransitionDiagram.admits` and `admissible_diagrams` inherit it.
+`coherence.sandwich_profile` ORs derive's mask (`_mark_unsandwiched`: 0xFF
+where left and right neighbour differ) into the pair codes, so the first byte
+8a + b marks the first sandwich aba.  Short texts (the fixed cost of n^2
+searches), larger alphabets and other characters keep one zip over the text.
 """
 
 from __future__ import annotations
@@ -267,35 +270,59 @@ def transitions(w: Wordlike) -> list[tuple[str, str]]:
     return list(_pairs(w))
 
 
-# Substring search beats one zip over the text only on long texts over small
-# alphabets (Python 3.11): an octagon word of 96 letters costs about 7 us either
-# way, and on 10^4-letter diagram walks the zip wins from 7 letters on.
+# The code route beats one zip over the text only on long texts over small
+# alphabets (Python 3.11): at 96 letters the two cost about the same (the zip up
+# to 30% less for a dodecagon sandwich profile), from 250 letters on the codes
+# win, 4-5 times at 700.  Codes take 3 bits, so two fit a byte.
 _SEARCH_MIN_LENGTH = 96
 _SEARCH_MAX_ALPHABET = 6
-_DROP_LETTERS = str.maketrans("", "", LETTERS)
 
 
-def _search_alphabet(t: str) -> list[str] | None:
-    """The distinct characters of t, sorted, if searching for them pays; else None."""
-    if len(t) < _SEARCH_MIN_LENGTH:
+@lru_cache(maxsize=256)
+def _code_table(letters: str) -> bytes:
+    """A bytes.translate table: each of the letters to its index, any other byte to 0xFF."""
+    table = bytearray(b"\xff" * 256)
+    for code, c in enumerate(letters):
+        table[ord(c)] = code
+    return bytes(table)
+
+
+def _pair_codes(t: str) -> tuple[str, int, int] | None:
+    """(letters, codes, pairs) of a wrapped text on the code route (module doc), else None.
+
+    The route takes texts of at least _SEARCH_MIN_LENGTH characters, all A-Z,
+    with at most _SEARCH_MAX_ALPHABET distinct letters: `letters`, in order.
+    `codes` is t read as one big-endian integer after mapping each letter to
+    its index in `letters`; byte i of `pairs` (len(t) - 1 bytes) is the code
+    8 * code(t[i]) + code(t[i + 1]) of the i-th adjacent pair.
+    """
+    if len(t) < _SEARCH_MIN_LENGTH or not t.isascii():
         return None
-    letters = [c for c in LETTERS if c in t]
-    if t.translate(_DROP_LETTERS):  # a character outside A-Z
-        letters = sorted(set(t))
-    return letters if len(letters) <= _SEARCH_MAX_ALPHABET else None
+    letters = "".join([c for c in LETTERS if c in t])
+    if len(letters) > _SEARCH_MAX_ALPHABET:
+        return None
+    text = t.encode("ascii").translate(_code_table(letters))
+    if 0xFF in text:  # a character outside A-Z
+        return None
+    v = int.from_bytes(text, "big")
+    # v >> 8 holds the left letter of each pair, the low len(t) - 1 bytes of v the right one
+    return letters, v, (v >> 8) << 3 | (v & ((1 << 8 * (len(t) - 1)) - 1))
 
 
 def transition_set(w: Wordlike) -> frozenset[tuple[str, str]]:
     """Distinct adjacent letter pairs (admissibility only needs the set).
 
-    The wrapped text has the same pairs as `_pairs`; long texts are searched
-    once per pair of present letters (module doc).
+    The wrapped text has the same pairs as `_pairs`; on the code route each
+    pair of present letters is one byte search in the pair codes (module doc).
     """
     t = _wrapped(w, held=True)
-    letters = _search_alphabet(t)
-    if letters is None:
+    coded = _pair_codes(t)
+    if coded is None:
         return frozenset(zip(t, t[1:]))
-    return frozenset([(a, b) for a in letters for b in letters if a + b in t])
+    letters, _, pairs = coded
+    found = pairs.to_bytes(len(t) - 1, "big")
+    return frozenset([(a, b) for x, a in enumerate(letters) for y, b in enumerate(letters)
+                      if 8 * x + y in found])
 
 
 # -- transition diagrams -----------------------------------------------------
@@ -485,6 +512,19 @@ def normal_form(w: Wordlike, n: int, diagram: int | None = None) -> tuple[Wordli
 _NONZERO_TO_FF = bytes([0]) + b"\xff" * 255
 
 
+def _mark_unsandwiched(marks: int, v: int, m: int) -> bytes:
+    """The low m bytes of `marks`, with 0xFF at each whose letter is not sandwiched.
+
+    v is the text, m + 2 bytes big-endian: byte i of the result belongs to the
+    letter at byte i + 1, whose neighbours are bytes i and i + 2.
+    """
+    mask = (1 << 8 * m) - 1
+    # v >> 16 holds the left neighbours, the low m bytes of v the right ones;
+    # a zero byte of left ^ right marks a sandwiched letter, every other becomes 0xFF
+    x = ((v >> 16) ^ (v & mask)).to_bytes(m, "big").translate(_NONZERO_TO_FF)
+    return ((marks & mask) | int.from_bytes(x, "big")).to_bytes(m, "big")
+
+
 def derive(w: Wordlike):
     """Keep only the sandwiched letters (equal left and right neighbours).
 
@@ -494,13 +534,9 @@ def derive(w: Wordlike):
     """
     t = _wrapped(w, held=True)
     if t.isascii():
-        # read big-endian, v >> 16 holds the m left neighbours, v >> 8 the letters, v the right
+        # read big-endian, the low m bytes of v >> 8 are the letters that have both neighbours
         v, m = int.from_bytes(t.encode("ascii"), "big"), max(len(t) - 2, 0)
-        mask = (1 << 8 * m) - 1
-        # a zero byte of left ^ right marks a kept letter; every other byte becomes 0xFF
-        x = ((v >> 16) ^ (v & mask)).to_bytes(m, "big").translate(_NONZERO_TO_FF)
-        mid = (((v >> 8) & mask) | int.from_bytes(x, "big")).to_bytes(m, "big")
-        kept = mid.translate(None, b"\xff").decode("ascii")
+        kept = _mark_unsandwiched(v >> 8, v, m).translate(None, b"\xff").decode("ascii")
     else:
         kept = "".join(b for a, b, c in zip(t, t[1:], t[2:]) if a == c)
     if isinstance(w, PeriodicWord):

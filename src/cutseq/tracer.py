@@ -3,11 +3,23 @@
 A trajectory travels in a fixed direction, and on hitting a side re-enters at
 the corresponding point of the opposite side (translation by twice the side
 midpoint, toward the center).  One tracer follows this boundary map as an
-interval exchange on the coordinate transverse to the direction, one bisect per
-crossing, over floats (a vertex hit is within epsilon of a vertex) or over exact
-Q(sqrt 2) coordinates for n in {2, 4} (a vertex hit is exact).  An exact period
-is an exact recurrence of the transverse coordinate, found with one addition per
-crossing and no replay of the crossing points.
+interval exchange T on the coordinate s transverse to the direction, over
+floats (a vertex hit is within epsilon of a vertex) or over exact Q(sqrt 2)
+coordinates for n in {2, 4} (a vertex hit is exact).  One crossing is one
+bisect, one append and one addition to s.  An exact period is an exact
+recurrence of s, found with one addition per crossing and no replay of the
+crossing points.
+
+Long float runs take K crossings per bisect, in a table of the power T^K (the
+symbolic side of Rauzy-Veech induction), built by doubling and used from 5000
+crossings on.  Each piece of the table is shrunk by a margin that covers
+the float error of its ends and the drift of the float orbit over K additions,
+so every s inside a piece takes the piece's K bisect indices; an s outside all
+pieces, near a vertex band, takes K single steps, which meet a vertex where the
+one-step loop does.  The shifts of a piece are still added to s one by one, in
+order: a precomputed total, `sum` or `fsum` would round differently, and the
+table reproduces the one-step loop's floats bit for bit only because it makes
+the same additions.
 """
 
 from __future__ import annotations
@@ -43,6 +55,8 @@ class TraceConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:  # NaN fails too
             raise CutseqError("epsilon must be positive")
+        if not self.epsilon < 0.5:  # the end bands of every side would meet
+            raise CutseqError("epsilon must be below 0.5")
         if self.max_crossings < 1:
             raise CutseqError("max_crossings must be >= 1")
         if self.mode not in ("approx", "exact"):
@@ -92,17 +106,16 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
          want_states=False) -> tuple[str, list, Iterable]:
     """(word, crossing log, boundary states): the ray as an interval exchange.
 
-    The transverse coordinate s = p x v stays constant along a segment.  The
-    exit sides, in the order of s, cut it into consecutive intervals
-    [S_j, S_j + sigma_j] with side parameter u = (s - S_j) / sigma_j, and
-    re-entering from the opposite side adds the fixed shift t_j x v to s, so a
-    crossing is one bisect, one append and one addition.  A vertex hit is a band
-    at each end of interval j, epsilon * sigma_j wide over floats and 0 over
-    Q(sqrt 2).  `bounds` alternates band and interior ends, so the bisect index
-    2j + 1 is the interior of interval j and an even index a band or outside.
-    Boundary states are a lazy iterator: of (side, u) over floats, and over
-    Q(sqrt 2) of the values of s before each crossing, since s fixes the
-    interval, and so the side and u.
+    The exchange is built once (`_exchange`) and then iterated into the path,
+    the bisect index of each crossing: over Q(sqrt 2) one bisect per crossing
+    (`_steps`), over floats K crossings per lookup in a table of T^K
+    (`_iterate`).  The table's pieces keep a margin of 8(K + 2) ulp from every
+    s whose float orbit could leave them within K crossings, and each lookup
+    adds the piece's shifts to s one at a time, so the path and s are those of
+    the one-step loop, bit for bit (`_power_table`).  The word, the log, the
+    vertex hit and the period are all read from the path.  Boundary states are
+    a lazy iterator: of (side, u) over floats, and over Q(sqrt 2) of the values
+    of s before each crossing, since s fixes the interval, and so the side and u.
     """
     if cfg.mode == "exact":
         if poly.exact_vertices is None:
@@ -111,34 +124,25 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
             raise TypeError("exact tracing needs an exact direction")
         vx, vy = d.x, d.y
         px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
-        endpoints, eps, zero, one, locate = poly.exact_side_endpoints, ZERO, ZERO, ONE, _locate
+        endpoints, eps, zero, one = poly.exact_side_endpoints, ZERO, ZERO, ONE
     else:
         t = direction_theta(d)
         vx, vy = math.cos(t), math.sin(t)
         px, py = float(start[0]), float(start[1])
-        endpoints, eps, zero, one, locate = poly.side_endpoints, cfg.epsilon, 0.0, 1.0, bisect
+        endpoints, eps, zero, one = poly.side_endpoints, cfg.epsilon, 0.0, 1.0
     sides = _exit_sides(poly, endpoints, px, py, vx, vy, eps, zero)
-    sides.sort(key=lambda side: side[0] * vy - side[1] * vx)
-    lower = sides[0][0] * vy - sides[0][1] * vx
-    bounds, shifts, codes = [], [zero], bytearray(256)
-    for j, (_, _, _, _, tx, ty, sigma, k) in enumerate(sides):
-        # chained through sigma, so the intervals tile [S_0, S_m] and bounds is sorted
-        bounds += [lower + eps * sigma, lower + (one - eps) * sigma]
-        shifts += [tx * vy - ty * vx, zero]
-        codes[2 * j + 1] = ord(poly.letter(k))
-        lower += sigma
-    s = s0 = px * vy - py * vx
-    path = bytearray()  # the bisect index of each crossing
-    add = path.append
-    for step in range(cfg.max_crossings):
-        i = locate(bounds, s)
-        if not i & 1:
-            point = px, py  # the entry point after the path: the last one replayed
-            for *_, point in _replay(path, sides, px, py, vx, vy, one):
-                pass
-            raise VertexHit(step, _vertex_side(point, sides, vx, vy, i, one))
-        add(i)
-        s += shifts[i]
+    bounds, shifts, codes = _exchange(sides, vx, vy, eps, zero, one, poly.letter)
+    s0 = px * vy - py * vx
+    if cfg.mode == "exact":
+        path = bytearray()
+        band = _steps(path, bounds, shifts, s0, cfg.max_crossings, _locate)[1]
+    else:
+        path, band = _iterate(bounds, shifts, s0, cfg.max_crossings)
+    if band is not None:
+        point = px, py  # the entry point after the path: the last one replayed
+        for *_, point in _replay(path, sides, px, py, vx, vy, one):
+            pass
+        raise VertexHit(len(path), _vertex_side(point, sides, vx, vy, band, one))
     word = path.translate(codes).decode("ascii")
     if want_states and cfg.mode == "exact":
         return word, [], accumulate((shifts[i] for i in path[:-1]), initial=s0)
@@ -150,6 +154,134 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
     # the log holds float points
     return word, [Crossing(chr(codes[i]), (float(x), float(y)), k)
                   for i, k, _, (x, y), _ in steps], []
+
+
+def _exchange(sides: list[tuple], vx, vy, eps, zero, one, letter) -> tuple[list, list, bytearray]:
+    """(bounds, shifts, codes): the boundary map as an interval exchange on s = p x v.
+
+    The exit sides, in the order of s (sorted here), cut s into consecutive
+    intervals [S_j, S_j + sigma_j] with side parameter u = (s - S_j) / sigma_j,
+    and re-entering from the opposite side adds the fixed shift t_j x v to s.
+    A vertex hit is a band at each end of interval j, eps * sigma_j wide (0
+    over Q(sqrt 2)).  `bounds` alternates band and interior ends, so the bisect
+    index 2j + 1 is the interior of interval j, with shift `shifts[2j + 1]` and
+    letter `codes[2j + 1]`, and an even index a band or outside.
+    """
+    sides.sort(key=lambda side: side[0] * vy - side[1] * vx)
+    lower = sides[0][0] * vy - sides[0][1] * vx
+    bounds, shifts, codes = [], [zero], bytearray(256)
+    for j, (_, _, _, _, tx, ty, sigma, k) in enumerate(sides):
+        # chained through sigma, so the intervals tile [S_0, S_m] and bounds is sorted
+        bounds += [lower + eps * sigma, lower + (one - eps) * sigma]
+        shifts += [tx * vy - ty * vx, zero]
+        codes[2 * j + 1] = ord(letter(k))
+        lower += sigma
+    return bounds, shifts, codes
+
+
+def _steps(path: bytearray, bounds: list, shifts: list, s, count: int, locate=bisect) -> tuple:
+    """`count` crossings, one bisect each, appended to path.
+
+    (s after them, None), or (s, the even bisect index of the band) at the first
+    vertex hit, which is crossing len(path).
+    """
+    add = path.append
+    for _ in range(count):
+        i = locate(bounds, s)
+        if not i & 1:
+            return s, i
+        add(i)
+        s += shifts[i]
+    return s, None
+
+
+# K by budget.  Building T^K costs 0.16-0.31 ms at K = 16 and 0.7-1.0 ms at 64,
+# against 190-240 ns per one-step crossing and about 50 and 30 ns per crossing
+# through the table (n = 4 and 6, Python 3.11, 2-vCPU Xeon): each K pays from
+# about the budget where it starts here.  Below 5000 crossings a smaller table
+# would save a fraction of a millisecond at most, and no workload traces there.
+_POWERS = ((100_000, 64), (5_000, 16))
+
+
+def _iterate(bounds: list, shifts: list, s: float, budget: int, k: int | None = None) -> tuple:
+    """(path, band) of `budget` float crossings, as `_steps` gives them, K per lookup.
+
+    K follows the budget (`_POWERS`; `k` forces it).  A lookup in the table of
+    T^K (`_power_table`) that lands inside a piece appends the piece's K bisect
+    indices and adds its K shifts to s one by one: the additions the one-step
+    loop makes, in its order, so s, the path and everything replayed from it
+    are the same floats bit for bit.  A lookup in a gap, and the remainder of a
+    budget that is no multiple of K, run `_steps`, which meets a vertex at the
+    crossing, and in the band, where the one-step loop meets it.
+    """
+    if k is None:
+        k = next((k for least, k in _POWERS if budget >= least), 1)
+    path = bytearray()
+    table = _power_table(bounds, shifts, k) if k > 1 else None
+    if table is None:
+        return path, _steps(path, bounds, shifts, s, budget)[1]
+    edges, pieces = table
+    extend = path.extend
+    while (done := len(path)) < budget:
+        if budget - done >= k:
+            p = bisect(edges, s)
+            if p & 1:
+                indices, piece_shifts = pieces[p >> 1]
+                extend(indices)
+                for c in piece_shifts:
+                    s += c
+                continue
+        s, band = _steps(path, bounds, shifts, s, min(k, budget - done))
+        if band is not None:
+            return path, band
+    return path, None
+
+
+def _power_table(bounds: list, shifts: list, k: int) -> tuple[list, list] | None:
+    """(edges, pieces) of T^k, k a power of 2, over floats; None if it cannot be trusted.
+
+    A piece is an interval of s whose next k crossings all land in interiors
+    and take the same bisect indices; it carries them as bytes and its k shifts
+    as a tuple.  T^2k comes from T^k: each piece, moved by its total shift, is
+    cut by the pieces of T^k, and the cuts are pulled back.  That gives at most
+    (n - 1)k + 1 pieces, and the gaps between them hold every s that meets a
+    band within k crossings.
+
+    The ends are computed in floats, and the float orbit drifts from the real
+    one: at most k/2 ulp over k additions, and at most about 2k ulp in the
+    pulled-back ends (one rounding per addition of total shifts and per
+    pull-back, each within 2 ulp of the scale max|bound| + max|shift|, which
+    bounds every intermediate up to a factor 4).  Each piece is shrunk by the
+    margin delta = 8(k + 2) ulp on both sides, which covers both, so every s in
+    a shrunk piece takes the piece's k indices in float arithmetic too.
+    Pieces no wider than 2 delta are dropped.  `edges` alternates piece starts
+    and ends like `bounds`, so an odd bisect index p is piece p >> 1.
+    """
+    level = [(bounds[i - 1], bounds[i], bytes([i]), (shifts[i],), shifts[i])
+             for i in range(1, len(bounds), 2)]
+    for _ in range(k.bit_length() - 1):
+        starts = [piece[0] for piece in level]
+        doubled = []
+        for a, b, indices, piece_shifts, total in level:
+            for q in range(max(bisect(starts, a + total) - 1, 0), len(level)):
+                qa, qb, q_indices, q_shifts, q_total = level[q]
+                lo = max(a, qa - total)
+                if lo >= b:
+                    break
+                hi = min(b, qb - total)
+                if lo < hi:
+                    doubled.append((lo, hi, indices + q_indices, piece_shifts + q_shifts,
+                                    total + q_total))
+        level = doubled
+    delta = 8 * (k + 2) * math.ulp(max(map(abs, bounds)) + max(map(abs, shifts)))
+    edges, pieces = [], []
+    for a, b, indices, piece_shifts, _ in level:
+        if b - a > 2 * delta:
+            edges += [a + delta, b - delta]
+            pieces.append((indices, piece_shifts))
+    if not all(x < y for x, y in zip(edges, edges[1:])):  # NaN fails too
+        return None
+    return edges, pieces
 
 
 def _locate(bounds: list, s) -> int:

@@ -340,3 +340,8 @@ def test_unreadable_word_file_is_usage_error(capsys, tmp_path, name):
 def test_nan_epsilon_is_refused(capsys):
     code, out, err = run(capsys, "trace", "--theta", "0.9", "--epsilon", "nan")
     assert (code, out, err) == (2, "", "cutseq: epsilon must be positive\n")
+
+
+def test_epsilon_of_one_half_or_more_is_refused(capsys):
+    code, out, err = run(capsys, "trace", "--theta", "0.9", "--epsilon", "0.7")
+    assert (code, out, err) == (2, "", "cutseq: epsilon must be below 0.5\n")

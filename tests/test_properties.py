@@ -3,18 +3,22 @@ the float and exact tracers, factor sets and factor counts against naive
 references, periodic words built from every rotation against the canonical one,
 renormalization against the route that derives each level twice, the order of
 exact directions against their angle keys, the Moebius action as a homomorphism
-and on integers against scalar-by-scalar references, and the text round trips
-of scalars and words."""
+and on integers against scalar-by-scalar references, the float tracer's table of
+T^K against the one-step loop, and the text round trips of scalars and words."""
 
 import math
 import random
+from bisect import bisect
 from collections import deque
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cutseq import tracer
 from cutseq.coherence import (
     RenormalizationStep,
     RenormalizationTrace,
@@ -220,6 +224,8 @@ def naive_admissible(w, n):
 @example((4, "AD" * 48))
 @example((6, PeriodicWord.of("ABCDEF" * 20 + "A")))
 @example((7, "ABCDEFG" * 20))  # one letter more than the searched alphabets
+@example((6, "UVWXYZ" * 20))  # six letters beyond H still take the codes 0-5
+@example((4, PeriodicWord.of("AD" * 46 + "BC")))  # the wrapped text is 96 letters
 def test_alphabet_search_matches_naive_reference(nw):
     n, w = nw
     pairs = frozenset(naive_transitions(w))
@@ -238,7 +244,9 @@ def test_alphabet_search_matches_naive_reference(nw):
              max_size=5),
     st.sampled_from(["str", "window", "periodic"]),
 )
-@example((3, "ABC" * 40), [(7, "a")], "str")  # four characters: still searched
+@example((3, "ABC" * 40), [(7, "a")], "str")  # a lowercase letter: the zip route
+@example((4, "ADBC" * 250), [(500, "a")], "window")  # 0xFF in the codes: the zip route
+@example((4, "ADBC" * 250), [(999, "\xe9")], "periodic")  # not ASCII: the zip route
 def test_text_outside_the_alphabet_matches_naive_reference(nw, inserts, kind):
     text = word_text(nw[1])
     for pos, c in inserts:
@@ -896,6 +904,76 @@ def test_float_tracer_matches_side_by_side_reference(ray):
     got, log = trace(poly, start, d, cfg)
     assert got == word and [(c.point, c.side) for c in log.crossings] == points
     assert detect_period(poly, start, d, cfg) == side_by_side_period(states, eps)
+
+
+def one_step_iterate(bounds, shifts, s, budget):
+    """The float interval exchange one bisect per crossing: (path, band), where band
+    is the even bisect index of the band met at crossing len(path), or None."""
+    path = bytearray()
+    for _ in range(budget):
+        i = bisect(bounds, s)
+        if not i & 1:
+            return path, i
+        path.append(i)
+        s += shifts[i]
+    return path, None
+
+
+def float_outputs(poly, start, d, cfg):
+    """(word, log points, float period), or the (crossing, side) of the vertex hit."""
+    try:
+        word = trace_word(poly, start, d, cfg)
+    except VertexHit as hit:
+        return hit.crossing, hit.side
+    _, log = trace(poly, start, d, cfg)
+    return word, [(c.point, c.side) for c in log.crossings], detect_period(poly, start, d, cfg)
+
+
+@FAST
+@given(float_rays(), st.sampled_from((2, 16, 64)), st.integers(0, 4900), st.integers(0, 62))
+def test_chunked_float_tracer_matches_one_step_reference(ray, k, full, rest):
+    """K crossings per table lookup against one bisect per crossing, on budgets of
+    1-5000 that are no multiple of K."""
+    poly, start, theta, eps, _ = ray
+    cfg = TraceConfig(epsilon=eps, max_crossings=full // k * k + rest % (k - 1) + 1)
+    d = ApproxDirection(theta)
+    with mock.patch.object(tracer, "_iterate", one_step_iterate):
+        want = float_outputs(poly, start, d, cfg)
+    with mock.patch.object(tracer, "_iterate", partial(tracer._iterate, k=k)):
+        assert float_outputs(poly, start, d, cfg) == want
+
+
+@FAST
+@given(float_rays(), st.sampled_from((2, 16, 64)))
+def test_power_table_pieces_hold_at_their_edges(ray, k):
+    """A start at either end of a piece of T^K, where the margin is thinnest, takes
+    the piece's K crossings as the one-step loop does."""
+    poly, _, theta, eps, _ = ray
+    vx, vy = math.cos(theta), math.sin(theta)
+    sides = tracer._exit_sides(poly, poly.side_endpoints, 0.0, 0.0, vx, vy, eps, 0.0)
+    bounds, shifts, _ = tracer._exchange(sides, vx, vy, eps, 0.0, 1.0, poly.letter)
+    table = tracer._power_table(bounds, shifts, k)
+    assume(table is not None)  # the fallback test covers a refused table
+    edges, pieces = table
+    assert len(pieces) <= (len(sides) - 1) * k + 1
+    for (indices, piece_shifts), lo, hi in zip(pieces, edges[::2], edges[1::2]):
+        assert [shifts[i] for i in indices] == list(piece_shifts)
+        for s in (lo, math.nextafter(hi, -math.inf)):
+            assert one_step_iterate(bounds, shifts, s, k) == (indices, None)
+
+
+@FAST
+@given(float_rays())
+def test_refused_power_table_falls_back_to_one_step(ray):
+    """With the table of T^K refused, the iteration is the one-step loop."""
+    poly, start, theta, eps, crossings = ray
+    cfg = TraceConfig(epsilon=eps, max_crossings=crossings)
+    d = ApproxDirection(theta)
+    with mock.patch.object(tracer, "_iterate", one_step_iterate):
+        want = float_outputs(poly, start, d, cfg)
+    with mock.patch.object(tracer, "_power_table", lambda bounds, shifts, k: None), \
+            mock.patch.object(tracer, "_iterate", partial(tracer._iterate, k=16)):
+        assert float_outputs(poly, start, d, cfg) == want
 
 
 def side_by_side_exact_trace(poly, start, d, crossings):

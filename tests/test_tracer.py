@@ -286,3 +286,11 @@ def test_epsilon_must_be_positive():
     for epsilon in (0.0, -1e-9, math.nan):
         with pytest.raises(CutseqError, match="epsilon must be positive"):
             TraceConfig(epsilon=epsilon)
+
+
+def test_epsilon_must_be_below_one_half():
+    # from 1/2 on the two end bands of every side meet and the bounds are no longer sorted
+    for epsilon in (0.5, 0.7, math.inf):
+        with pytest.raises(CutseqError, match="epsilon must be below 0.5"):
+            TraceConfig(epsilon=epsilon)
+    assert TraceConfig(epsilon=0.49).epsilon == 0.49
