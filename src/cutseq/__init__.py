@@ -43,6 +43,7 @@ from .symbolic import (
     factor_set,
     normal_form,
     permute,
+    sandwich_profile,
     sector_permutation,
     square_derive,
 )
@@ -86,7 +87,6 @@ from .coherence import (
     decompose_generation,
     recognize_direction,
     renormalize,
-    sandwich_profile,
 )
 
 __version__ = "0.1.0"

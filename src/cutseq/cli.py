@@ -270,8 +270,10 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_check_coherence(args) -> dict:
+    if (args.i is None) != (args.j is None):
+        raise UsageError("give both of --i and --j, or neither")
     w = _parse_any_word(args.word, args.n)
-    explicit = args.i is not None and args.j is not None
+    explicit = args.i is not None
     steps = []
     if args.depth != 0 or not explicit:  # only --depth 0 with a pair asks for no chain
         tr = renormalize(w, args.depth + 1, args.n, start_diagram=args.start_diagram)

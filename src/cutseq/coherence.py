@@ -12,12 +12,9 @@ trajectory realizing the word.
 
 Each level asks two alphabet questions: which letter pairs occur (C0, C2, the
 admissible sectors) and which letters sandwich which (C1, the sandwich
-profile).  On long words both read one pass of pair codes, one byte per
-adjacent pair, with the pairs that are not the start of a sandwich masked to
-0xFF for the profile; each pair or sandwich of present letters is then one byte
-search (see the symbolic module docstring; short words and large alphabets keep
-one zip, which is cheaper there).  `derive` runs on whole-text integer and
-bytes operations, so a level makes no per-letter pass in Python.  `renormalize`
+profile).  Both are answered in the symbolic module, which owns the pair codes
+and `sandwich_profile`, and `derive` runs there on whole-text integer and bytes
+operations, so a level makes no per-letter pass in Python.  `renormalize`
 derives each level once: the coherence filter of a later level reuses the word
 the previous level derived.
 """
@@ -27,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .farey import SectorInterval, sector_interval
-from .generation import _generate_admitted, sandwich_group, synthesize_table
+from .generation import _generate_admitted, _insertions, sandwich_group
 from .symbolic import (
     AmbiguousDiagramError,
     CutseqError,
@@ -35,14 +32,12 @@ from .symbolic import (
     PeriodicWord,
     Wordlike,
     _held,
-    _mark_unsandwiched,
-    _pair_codes,
-    _wrapped,
     admissible_diagrams,
     build_diagram,
     derive,
     is_exhausted,
     permute,
+    sandwich_profile,
     sector_permutation,
     word_text,
 )
@@ -54,34 +49,6 @@ class NotCoherentError(CutseqError):
 
 class InsufficientWindowError(CutseqError):
     """The window ran out of letters before the requested depth."""
-
-
-def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
-    """For each letter, the set of letters sandwiching it somewhere in the word.
-
-    Only interior occurrences count: the boundary letters of a window have
-    unknown neighbours.  Periodic words wrap around.  The letters come in the
-    order of their first sandwiched occurrence.
-    """
-    t = _wrapped(w)
-    coded = _pair_codes(t)
-    if coded is None:
-        prof: dict[str, set[str]] = {}
-        # dict.fromkeys: distinct pairs, letters in order of first sandwiched occurrence
-        for letter, left in dict.fromkeys((b, a) for a, b, c in zip(t, t[1:], t[2:]) if a == c):
-            prof.setdefault(letter, set()).add(left)
-        return {letter: frozenset(v) for letter, v in prof.items()}
-    letters, codes, pairs = coded
-    m = len(t) - 2
-    # byte i: the code of the pair t[i] t[i + 1] where t[i + 2] == t[i], else 0xFF
-    sandwiches = _mark_unsandwiched(pairs >> 8, codes, m)
-    found = []
-    for y, b in enumerate(letters):
-        # the first sandwich aba of each a; the first position of each letter orders the keys
-        hits = [(i, a) for x, a in enumerate(letters) if (i := sandwiches.find(8 * x + y)) >= 0]
-        if hits:
-            found.append((min(hits)[0], b, frozenset(a for _, a in hits)))
-    return {b: lefts for _, b, lefts in sorted(found)}
 
 
 def fitting_groups(profile: dict[str, frozenset[str]], n: int) -> tuple[int, ...]:
@@ -130,9 +97,11 @@ def _core_matches(nw: Wordlike, j: int, v: Wordlike, n: int) -> bool:
     Sector j (1 <= j < 2n) must admit v, as every sector of
     `admissible_diagrams(v)` does, so generation skips that check.  Periodic
     words must match exactly (as rotations).  For a window only the stretch
-    between its first and last sandwiched letters is determined by v, and the
-    overhanging stubs must be a suffix and a prefix of interpolating words of
-    the right sector.
+    between its first and last sandwiched letters is determined by v.  The
+    overhanging stubs are read against generation's pieces p = a + w of the
+    edges a -> b (`_insertions`): the head must end a piece whose b is v[0],
+    the tail must start w + b of a piece whose a is v[-1].  An empty stub
+    always fits, since every letter has an edge in and out of each diagram.
     """
     if isinstance(nw, PeriodicWord):
         return _generate_admitted(j, 0, v, n) == nw
@@ -142,37 +111,15 @@ def _core_matches(nw: Wordlike, j: int, v: Wordlike, n: int) -> bool:
     hi = len(s) - 1 - _first_sandwiched(s[::-1])
     if s[lo : hi + 1] != _generate_admitted(j, 0, vtext, n):
         return False
-    table = synthesize_table(n)
-    return _is_suffix_of_rule(s[:lo], table, j, vtext[0]) and _is_prefix_of_rule(
-        s[hi + 1 :], table, j, vtext[-1]
+    head, tail, pieces = s[:lo], s[hi + 1 :], _insertions(j, n).items()
+    return any(b == vtext[0] and p.endswith(head) for (_, b), p in pieces) and any(
+        a == vtext[-1] and (p[1:] + b).startswith(tail) for (a, b), p in pieces
     )
 
 
 def _first_sandwiched(s: str) -> int:
     """Index of the first sandwiched letter of s (one must exist)."""
     return next(i for i, (a, c) in enumerate(zip(s, s[2:]), 1) if a == c)
-
-
-def _is_suffix_of_rule(stub: str, table, j: int, target: str) -> bool:
-    """Can stub be the visible tail of [previous letter + interpolating word]?"""
-    if not stub:
-        return True
-    return any(
-        b == target and (a + w).endswith(stub)
-        for (k, a, b), w in table.words.items()
-        if k == j
-    )
-
-
-def _is_prefix_of_rule(stub: str, table, j: int, source: str) -> bool:
-    """Can stub be the visible head of [interpolating word + next letter]?"""
-    if not stub:
-        return True
-    return any(
-        a == source and (w + b).startswith(stub)
-        for (k, a, b), w in table.words.items()
-        if k == j
-    )
 
 
 def decompose_candidates(w: Wordlike, i: int, n: int = 4) -> list[tuple[int, Wordlike]]:

@@ -28,6 +28,7 @@ from .symbolic import (
     _pairs,
     boundary_diagram,
     build_diagram,
+    check_sector,
     factor_set,
     letter_at,
     letters_for,
@@ -190,8 +191,8 @@ def periodic_seeds(k: int, n: int = 4) -> frozenset[PeriodicWord]:
     These are the cutting sequences of the two cylinder directions bounding
     sector k; for the octagon each set has exactly four elements.
     """
-    letters_for(n)  # before k % 2n, which n = 0 would divide by zero
-    k = k % (2 * n)
+    letters_for(n)  # an alphabet size error comes before a sector error
+    check_sector(k, n)
     seen: set[PeriodicWord] = set()
     for diagram in (boundary_diagram(k, n), boundary_diagram((k + 1) % (2 * n), n)):
         for a, b in diagram.edges:
@@ -223,12 +224,15 @@ def build_family(
     return frozenset(words)
 
 
+# enumerate_factors stops deepening once a generated word is longer than this
+_MAX_WORD_LENGTH = 200_000
+
+
 def enumerate_factors(
     direction_or_prefix,
     length: int,
     depth: int = 30,
     n: int = 4,
-    max_word_length: int = 200_000,
 ) -> frozenset[str]:
     """All length-l factors of cutting sequences in a direction (or prefix cylinder).
 
@@ -265,6 +269,6 @@ def enumerate_factors(
         else:
             stable = 0
         previous = fs
-        if max(len(_held(w)) for w in family) > max_word_length:
+        if max(len(_held(w)) for w in family) > _MAX_WORD_LENGTH:
             break
     return factors

@@ -39,6 +39,10 @@ _COS_SIN_PI_4 = (
 )
 
 
+# the one refusal of exact work where is_exact(n) fails
+_NO_EXACT = "exact coordinates need n in {2, 4}"
+
+
 def is_exact(n: int) -> bool:
     """Whether the 2n-gon's coordinates lie in Q(sqrt 2), i.e. n in {2, 4}."""
     return n in (2, 4)
@@ -85,7 +89,7 @@ class LabeledPolygon:
     def exact_side_endpoints(self, side: int):
         v = self.exact_vertices
         if v is None:
-            raise CutseqError("polygon has no exact coordinates for this n")
+            raise CutseqError(_NO_EXACT)
         return v[side], v[(side + 1) % (2 * self.n)]
 
     def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
@@ -99,8 +103,6 @@ class LabeledPolygon:
         return True
 
     def contains_exact(self, x: Q2Scalar, y: Q2Scalar) -> bool:
-        if self.exact_vertices is None:
-            raise CutseqError("polygon has no exact coordinates for this n")
         for k in range(2 * self.n):
             (ax, ay), (bx, by) = self.exact_side_endpoints(k)
             ex, ey = bx - ax, by - ay
@@ -237,7 +239,7 @@ def sector_of(d, n: int) -> int:
     """
     if isinstance(d, ExactDirection):
         if not is_exact(n):
-            raise CutseqError("exact sector classification needs n in {2, 4}")
+            raise CutseqError(_NO_EXACT)
         if d.is_horizontal:
             return 0 if d.x.sign() > 0 else 2 * n - 1
         mu = d.mu()

@@ -30,10 +30,10 @@ zip).  Read as one integer v, the codes give each adjacent pair its own byte,
 (the wrap adds no pair a period lacks), a `memchr` in C, so besides a few
 whole-text passes in C the cost follows the alphabet, not the word's length;
 `TransitionDiagram.admits` and `admissible_diagrams` inherit it.
-`coherence.sandwich_profile` ORs derive's mask (`_mark_unsandwiched`: 0xFF
-where left and right neighbour differ) into the pair codes, so the first byte
-8a + b marks the first sandwich aba.  Short texts (the fixed cost of n^2
-searches), larger alphabets and other characters keep one zip over the text.
+`sandwich_profile` ORs derive's mask (`_mark_unsandwiched`: 0xFF where left and
+right neighbour differ) into the pair codes, so the first byte 8a + b marks the
+first sandwich aba.  Short texts (the fixed cost of n^2 searches), larger
+alphabets and other characters keep one zip over the text.
 """
 
 from __future__ import annotations
@@ -323,6 +323,34 @@ def transition_set(w: Wordlike) -> frozenset[tuple[str, str]]:
     found = pairs.to_bytes(len(t) - 1, "big")
     return frozenset([(a, b) for x, a in enumerate(letters) for y, b in enumerate(letters)
                       if 8 * x + y in found])
+
+
+def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
+    """For each letter, the set of letters sandwiching it somewhere in the word.
+
+    Only interior occurrences count: the boundary letters of a window have
+    unknown neighbours.  Periodic words wrap around.  The letters come in the
+    order of their first sandwiched occurrence.
+    """
+    t = _wrapped(w)
+    coded = _pair_codes(t)
+    if coded is None:
+        prof: dict[str, set[str]] = {}
+        # dict.fromkeys: distinct pairs, letters in order of first sandwiched occurrence
+        for letter, left in dict.fromkeys((b, a) for a, b, c in zip(t, t[1:], t[2:]) if a == c):
+            prof.setdefault(letter, set()).add(left)
+        return {letter: frozenset(v) for letter, v in prof.items()}
+    letters, codes, pairs = coded
+    m = len(t) - 2
+    # byte i: the code of the pair t[i] t[i + 1] where t[i + 2] == t[i], else 0xFF
+    sandwiches = _mark_unsandwiched(pairs >> 8, codes, m)
+    found = []
+    for y, b in enumerate(letters):
+        # the first sandwich aba of each a; the first position of each letter orders the keys
+        hits = [(i, a) for x, a in enumerate(letters) if (i := sandwiches.find(8 * x + y)) >= 0]
+        if hits:
+            found.append((min(hits)[0], b, frozenset(a for _, a in hits)))
+    return {b: lefts for _, b, lefts in sorted(found)}
 
 
 # -- transition diagrams -----------------------------------------------------

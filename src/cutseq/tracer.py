@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 from .exact_arith import ONE, ZERO, Direction, ExactDirection, Q2Scalar, direction_theta
@@ -76,10 +76,6 @@ class TraceLog:
     start: tuple
     crossings: list[Crossing] = field(default_factory=list)
 
-    @property
-    def word(self) -> str:
-        return "".join(c.letter for c in self.crossings)
-
 
 def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) -> list[tuple]:
     """(ax, ay, ex, ey, tx, ty, sigma, k) of each exit side k, in side order.
@@ -102,9 +98,8 @@ def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) ->
     return sides
 
 
-def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=False,
-         want_states=False) -> tuple[str, list, Iterable]:
-    """(word, crossing log, boundary states): the ray as an interval exchange.
+def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
+    """(word, path, shifts, replay): the ray as an interval exchange.
 
     The exchange is built once (`_exchange`) and then iterated into the path,
     the bisect index of each crossing: over Q(sqrt 2) one bisect per crossing
@@ -112,14 +107,12 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
     (`_iterate`).  The table's pieces keep a margin of 8(K + 2) ulp from every
     s whose float orbit could leave them within K crossings, and each lookup
     adds the piece's shifts to s one at a time, so the path and s are those of
-    the one-step loop, bit for bit (`_power_table`).  The word, the log, the
-    vertex hit and the period are all read from the path.  Boundary states are
-    a lazy iterator: of (side, u) over floats, and over Q(sqrt 2) of the values
-    of s before each crossing, since s fixes the interval, and so the side and u.
+    the one-step loop, bit for bit (`_power_table`).  The word and the vertex
+    hit are read from the path; crossing i adds shifts[path[i]] to s.
+    `replay()` is `_replay` bound to the ray: it yields each crossing's side,
+    u and points, lazily, for whoever needs them.
     """
     if cfg.mode == "exact":
-        if poly.exact_vertices is None:
-            raise CutseqError("exact tracing needs a polygon with exact coordinates (n in {2, 4})")
         if not isinstance(d, ExactDirection):
             raise TypeError("exact tracing needs an exact direction")
         vx, vy = d.x, d.y
@@ -138,22 +131,13 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig, want_log=F
         band = _steps(path, bounds, shifts, s0, cfg.max_crossings, _locate)[1]
     else:
         path, band = _iterate(bounds, shifts, s0, cfg.max_crossings)
+    replay = partial(_replay, path, sides, px, py, vx, vy, one)
     if band is not None:
         point = px, py  # the entry point after the path: the last one replayed
-        for *_, point in _replay(path, sides, px, py, vx, vy, one):
+        for *_, point in replay():
             pass
         raise VertexHit(len(path), _vertex_side(point, sides, vx, vy, band, one))
-    word = path.translate(codes).decode("ascii")
-    if want_states and cfg.mode == "exact":
-        return word, [], accumulate((shifts[i] for i in path[:-1]), initial=s0)
-    if not (want_log or want_states):
-        return word, [], []
-    steps = _replay(path, sides, px, py, vx, vy, one)
-    if want_states:
-        return word, [], ((k, u) for _, k, u, _, _ in steps)
-    # the log holds float points
-    return word, [Crossing(chr(codes[i]), (float(x), float(y)), k)
-                  for i, k, _, (x, y), _ in steps], []
+    return path.translate(codes).decode("ascii"), path, shifts, replay
 
 
 def _exchange(sides: list[tuple], vx, vy, eps, zero, one, letter) -> tuple[list, list, bytearray]:
@@ -320,7 +304,10 @@ def _vertex_side(point: tuple, sides: list[tuple], vx, vy, i: int, one) -> int:
 
 def trace(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple[str, TraceLog]:
     """Cutting sequence of max_crossings crossings, with the full crossing log."""
-    word, crossings, _ = _run(poly, start, d, cfg, want_log=True)
+    word, _, _, replay = _run(poly, start, d, cfg)
+    # the log holds float points
+    crossings = [Crossing(letter, (float(x), float(y)), k)
+                 for letter, (_, k, _, (x, y), _) in zip(word, replay())]
     return word, TraceLog(d, tuple(start), crossings)
 
 
@@ -333,16 +320,18 @@ def detect_period(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -
     """Smallest m < max_crossings after which the boundary state recurs, else None.
 
     The boundary map is invertible, so a periodic orbit returns exactly to its
-    first boundary state.  Floating states (side, u) recur within epsilon.  An
-    exact period is the first m with s_m == s_0, since the transverse coordinate
-    s fixes the side and u; no crossing point is replayed.  Floating states are
-    replayed up to the first recurrence only.  Either way the whole run is
-    traced first, so a vertex hit within max_crossings still raises.
+    first boundary state.  Floating states (side, u) recur within epsilon; they
+    are replayed up to the first recurrence only.  An exact state is fixed by
+    the transverse coordinate s, and s_m == s_0 exactly when the shifts of the
+    first m crossings sum to zero, so an exact period replays no crossing
+    point.  Either way the whole run is traced first, so a vertex hit within
+    max_crossings still raises.
     """
-    _, _, states = _run(poly, start, d, cfg, want_states=True)
+    _, path, shifts, replay = _run(poly, start, d, cfg)
     if cfg.mode == "exact":
-        s0 = next(states)
-        return next((m for m, s in enumerate(states, 1) if s == s0), None)
+        totals = accumulate(shifts[i] for i in path[:-1])
+        return next((m for m, total in enumerate(totals, 1) if total == ZERO), None)
+    states = ((k, u) for _, k, u, _, _ in replay())
     side0, u0 = next(states)
     eps = cfg.epsilon
     return next(

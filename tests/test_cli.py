@@ -345,3 +345,48 @@ def test_nan_epsilon_is_refused(capsys):
 def test_epsilon_of_one_half_or_more_is_refused(capsys):
     code, out, err = run(capsys, "trace", "--theta", "0.9", "--epsilon", "0.7")
     assert (code, out, err) == (2, "", "cutseq: epsilon must be below 0.5\n")
+
+
+@pytest.mark.parametrize("flag", ["--i", "--j"])
+def test_check_coherence_lone_i_or_j_is_usage_error(capsys, flag):
+    # half a pair is malformed, like both or neither of --theta and --cot
+    code, out, err = run(
+        capsys, "check-coherence", "--word", "per:ADBCBCCBCBDADBCBCCBCCBCBD", flag, "0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "cutseq: error: give both of --i and --j, or neither\n"
+
+
+def test_seeds_sector_outside_range_is_domain_error(capsys):
+    code, out, err = run(capsys, "seeds", "--k", "99")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("cutseq: ") and "sector index 99" in err
+
+
+def test_recognize_word_file(capsys, tmp_path):
+    path = tmp_path / "window.txt"
+    path.write_text(WINDOW + "\n")
+    doc = run_json(capsys, "recognize", "--word-file", str(path), "--depth", "3")
+    assert doc["diagrams"] == [4, 7, 2]
+    # an undecodable byte is a letter outside the alphabet, not a crash
+    path.write_bytes(b"AAD\xffB\n")
+    code, out, err = run(capsys, "recognize", "--word-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "outside alphabet" in err
+
+
+def test_families_with_explicit_seeds(capsys):
+    doc = run_json(capsys, "families", "--prefix", "0,1,6", "--seeds", "per:AB,per:D")
+    assert doc["words"] == ["per:ADADBCBD", "per:ADBCBCCBCBD"]
+
+
+def test_trace_exact_seeded_start(capsys):
+    from cutseq.exact_arith import Q2Scalar
+    from cutseq.polygon import build_polygon
+
+    argv = ["trace", "--cot", "2+1*sqrt2", "--exact", "--crossings", "6"]
+    doc = run_json(capsys, *argv)
+    x, y = (Q2Scalar.parse(v) for v in doc["start"])
+    assert build_polygon(4).contains_exact(x, y)
+    assert len(doc["word"]) == 6
+    assert run_json(capsys, *argv)["start"] == doc["start"]  # the seed fixes the start

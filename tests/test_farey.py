@@ -142,6 +142,17 @@ def test_sector_interval_nesting():
         cur = nxt
 
 
+@pytest.mark.parametrize("theta", [0.3, 1.1, 2.0, 2.9])
+def test_float_hexagon_sector_interval_contains_its_direction(theta):
+    # n = 3 has no exact coordinates, so the sector ends are float angles
+    prefix = itinerary(ApproxDirection(theta), 3, 6)
+    iv = sector_interval(prefix, 3)
+    assert isinstance(iv.lo, ApproxDirection) and isinstance(iv.hi, ApproxDirection)
+    assert iv.contains_theta(theta)
+    lo, hi = iv.theta_bounds()
+    assert 0 < hi - lo < math.pi / 6
+
+
 def test_direction_from_expansion_fixed_points():
     one_tail = Expansion(4, (), 1)
     iv = direction_from_expansion(one_tail, 10)

@@ -21,6 +21,7 @@ from cutseq.symbolic import (
     CutseqError,
     InadmissibleWordError,
     PeriodicWord,
+    SectorIndexError,
     WordWindow,
     build_diagram,
     derive,
@@ -286,6 +287,12 @@ def test_family_members_are_periodic_cutting_sequences():
 def test_seeds_reject_alphabet_size(n):
     with pytest.raises(CutseqError, match="alphabet size"):
         periodic_seeds(1, n)
+
+
+@pytest.mark.parametrize("k", [-1, 8])
+def test_seeds_reject_sector_outside_range(k):
+    with pytest.raises(SectorIndexError, match=f"sector index {k} outside 0..7"):
+        periodic_seeds(k, 4)
 
 
 def _generation_outputs():

@@ -223,6 +223,14 @@ def test_derive_times():
     assert chain1 == EX_DERIVED_1
 
 
+def test_derive_times_counts_and_exhaustion():
+    assert derive_times(EX_WINDOW, 2) == derive(derive(EX_WINDOW))
+    # exhaustion stops the count early: a window runs out of letters, a period of them
+    assert derive_times("ADADAD", 6) == ""
+    assert derive_times(PeriodicWord.of("ABC"), 3) is None
+    assert derive_times(PeriodicWord.of("AAB"), 4) == PeriodicWord.of("B")
+
+
 def test_dodecagon_diagram_matches_traced_transitions():
     # sampling oracle for the general-n edge rule: transitions observed in many
     # sector-0 traces on the dodecagon are exactly the rule's edge set

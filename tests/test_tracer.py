@@ -281,6 +281,23 @@ def test_start_outside_polygon_rejected():
     assert len(trace_word(OCT, (q2(0), exact_top), exact_d, exact_cfg)) == 5
 
 
+def test_exact_work_without_exact_coordinates_has_one_refusal():
+    # the hexagon's coordinates are not in Q(sqrt 2): each exact entry point says so alike
+    hexagon, d = build_polygon(3), ExactDirection.from_cot(q2(1))
+    refusals = [
+        lambda: hexagon.exact_side_endpoints(0),
+        lambda: hexagon.contains_exact(q2(0), q2(0)),
+        lambda: sector_of(d, 3),
+        lambda: trace_word(hexagon, (0, 0), d, TraceConfig(max_crossings=5, mode="exact")),
+    ]
+    messages = set()
+    for refuse in refusals:
+        with pytest.raises(CutseqError) as exc:
+            refuse()
+        messages.add(str(exc.value))
+    assert messages == {"exact coordinates need n in {2, 4}"}
+
+
 def test_epsilon_must_be_positive():
     # NaN compares false both ways, so it must not slip past a "<= 0" test
     for epsilon in (0.0, -1e-9, math.nan):
