@@ -9,6 +9,13 @@ first and last letters sandwich L1 and L2 according to the sandwich group of
 index floor(k/2).  Chaining generation operators along an expansion prefix
 builds the word families whose factors exhaust the cutting sequences of a
 direction.
+
+Generation works on the whole text with `str.replace`: for each edge a -> b
+with a non-empty interpolating word w, every pair ab becomes a + w.lower() + b.
+The lowercase marks what was inserted, so no later pattern matches across an
+insertion; a self-loop a -> a runs twice, because one pass over a run of a's
+skips overlapping matches; one `upper()` ends it.  A periodic word runs on its
+period with the first letter repeated, for the wrap pair, and drops it again.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .symbolic import (
     Wordlike,
     WordWindow,
     _held,
-    _pairs,
     boundary_diagram,
     build_diagram,
     check_sector,
@@ -141,8 +147,20 @@ def synthesize_table(n: int) -> InterpolationTable:
 
 @lru_cache(maxsize=None)
 def _insertions(k: int, n: int) -> dict[tuple[str, str], str]:
-    """Edge (a, b) of diagram k -> a + its interpolating word: generate's join pieces."""
+    """Edge (a, b) of diagram k -> a + its interpolating word: the piece a generated word
+    holds for each pair ab."""
     return {(a, b): a + w for (j, a, b), w in synthesize_table(n).words.items() if j == k}
+
+
+@lru_cache(maxsize=None)
+def _marked_insertions(k: int, n: int) -> tuple[tuple[str, str], ...]:
+    """(a + b, a + w.lower() + b) for each edge a -> b of diagram k with a non-empty
+    interpolating word w, a self-loop twice: generation's replacements (module doc)."""
+    out = []
+    for (j, a, b), w in synthesize_table(n).words.items():
+        if j == k and w:
+            out += [(a + b, a + w.lower() + b)] * (2 if a == b else 1)
+    return tuple(out)
 
 
 # -- generation operators ------------------------------------------------------
@@ -173,13 +191,18 @@ def _generate_admitted(k: int, i: int, w: Wordlike, n: int) -> Wordlike:
     s = _held(w)
     if not s:
         return w
-    body = "".join(map(_insertions(k, n).__getitem__, _pairs(w, held=True)))
-    if isinstance(w, PeriodicWord):
-        out: Wordlike = PeriodicWord.of(body)
+    periodic = isinstance(w, PeriodicWord)
+    t = s + s[0] if periodic else s
+    if len(t) > 1:  # a lone letter has no pair to admit, so it may be any character
+        for pair, marked in _marked_insertions(k, n):
+            t = t.replace(pair, marked)
+        t = t.upper()
+    if periodic:
+        out: Wordlike = PeriodicWord.of(t[:-1])
     elif isinstance(w, WordWindow):
-        out = WordWindow(body + s[-1])
+        out = WordWindow(t)
     else:
-        out = body + s[-1]
+        out = t
     if i == 0:
         return out
     return permute(sector_permutation(i, n).inverse(), out)

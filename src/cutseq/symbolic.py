@@ -34,6 +34,20 @@ whole-text passes in C the cost follows the alphabet, not the word's length;
 right neighbour differ) into the pair codes, so the first byte 8a + b marks the
 first sandwich aba.  Short texts (the fixed cost of n^2 searches), larger
 alphabets and other characters keep one zip over the text.
+
+Renormalization asks the same questions of the same level several times:
+`renormalize`, `check_coherent`, `decompose_candidates` and
+`recognize_direction` each normalize and derive a window's levels again.  So
+the two text kernels, `_sandwiched_letters` (derive) and `_pair_set`
+(`transition_set`), are memoized under `functools.lru_cache`, keyed by the
+wrapped held text.  That is the text they compute from, so equal texts share an
+entry whether they come as a str, a window or a periodic word, and derive and
+transition_set wrap the answer in the caller's container; and it is the held
+rotation, so a lookup never canonicalizes a periodic word.  Each memo keeps the
+_MEMO_SIZE most recent texts, enough for the five levels of one
+renormalization chain.  That bounds what they hold: at most _MEMO_SIZE texts
+each, with their sandwiched letters (never longer) or pair sets (at most n^2
+pairs).
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 LETTERS = string.ascii_uppercase
 MAX_ALPHABET = len(LETTERS)
@@ -259,9 +274,9 @@ def _wrapped(w: Wordlike, held: bool = False) -> str:
     return word_text(w)
 
 
-def _pairs(w: Wordlike, held: bool = False):
+def _pairs(w: Wordlike):
     """Adjacent letter pairs in order; a periodic word's wrap pair comes last."""
-    t = _wrapped(w, held)
+    t = _wrapped(w)
     return zip(t[1:], t[2:]) if isinstance(w, PeriodicWord) else zip(t, t[1:])
 
 
@@ -276,6 +291,9 @@ def transitions(w: Wordlike) -> list[tuple[str, str]]:
 # win, 4-5 times at 700.  Codes take 3 bits, so two fit a byte.
 _SEARCH_MIN_LENGTH = 96
 _SEARCH_MAX_ALPHABET = 6
+
+# Texts held by each of the two kernel memos (module doc).
+_MEMO_SIZE = 6
 
 
 @lru_cache(maxsize=256)
@@ -315,7 +333,12 @@ def transition_set(w: Wordlike) -> frozenset[tuple[str, str]]:
     The wrapped text has the same pairs as `_pairs`; on the code route each
     pair of present letters is one byte search in the pair codes (module doc).
     """
-    t = _wrapped(w, held=True)
+    return _pair_set(_wrapped(w, held=True))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pair_set(t: str) -> frozenset[tuple[str, str]]:
+    """The distinct adjacent pairs of a wrapped text: `transition_set`'s memoized kernel."""
     coded = _pair_codes(t)
     if coded is None:
         return frozenset(zip(t, t[1:]))
@@ -560,16 +583,21 @@ def derive(w: Wordlike):
     truncated; periodic words wrap around and may derive to None when no letter
     survives.  Finite str input is treated as a window.
     """
-    t = _wrapped(w, held=True)
-    if t.isascii():
-        # read big-endian, the low m bytes of v >> 8 are the letters that have both neighbours
-        v, m = int.from_bytes(t.encode("ascii"), "big"), max(len(t) - 2, 0)
-        kept = _mark_unsandwiched(v >> 8, v, m).translate(None, b"\xff").decode("ascii")
-    else:
-        kept = "".join(b for a, b, c in zip(t, t[1:], t[2:]) if a == c)
+    kept = _sandwiched_letters(_wrapped(w, held=True))
     if isinstance(w, PeriodicWord):
         return PeriodicWord.of(kept) if kept else None
     return WordWindow(kept) if isinstance(w, WordWindow) else kept
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _sandwiched_letters(t: str) -> str:
+    """The interior letters of a wrapped text whose neighbours are equal: `derive`'s
+    memoized kernel."""
+    if not t.isascii():
+        return "".join(b for a, b, c in zip(t, t[1:], t[2:]) if a == c)
+    # read big-endian, the low m bytes of v >> 8 are the letters that have both neighbours
+    v, m = int.from_bytes(t.encode("ascii"), "big"), max(len(t) - 2, 0)
+    return _mark_unsandwiched(v >> 8, v, m).translate(None, b"\xff").decode("ascii")
 
 
 def derive_times(w: Wordlike, count: int):
@@ -642,17 +670,30 @@ def factor_counts_upto(word: str, max_length: int) -> dict[int, int]:
     """Distinct-factor counts for every length 1..max_length, in one pass.
 
     The factors of length L = max_length come from aligned blocks
-    (`_block_factors`).  Every factor of length l starting at position
-    i <= len - L is the prefix of the L-factor at i, so shorter counts come
-    from prefixes of the long factor set plus the handful of windows inside
-    the tail.
+    (`_block_factors`).  Every factor of length l is a prefix of one of these
+    or of one of the L - 1 suffixes shorter than L, so the count of length l is
+    the number of depth-l nodes of the trie of those strings.  In sorted order,
+    a string opens one node at each depth beyond its longest common prefix with
+    its predecessor, up to its own length.
     """
     m = len(word)
     _check_factor_length(max_length, m, "max_length")
     top = _block_factors(word, max_length)
-    counts: dict[int, int] = {max_length: len(top)}
-    for length in range(1, max_length):
-        fs = {f[:length] for f in top}
-        fs.update(word[i : i + length] for i in range(m - max_length + 1, m - length + 1))
-        counts[length] = len(fs)
+    # a difference array: the trie has sum(opened[: l + 1]) nodes at depth l
+    opened = [0] * (max_length + 2)
+    prev = ""
+    for s in sorted([*top, *(word[i:] for i in range(m - max_length + 1, m))]):
+        opened[_common_prefix_length(prev, s) + 1] += 1
+        opened[len(s) + 1] -= 1
+        prev = s
+    nodes = list(accumulate(opened))
+    counts = {max_length: len(top)}
+    counts.update(zip(range(1, max_length), nodes[1:max_length]))
     return counts
+
+
+def _common_prefix_length(a: str, b: str) -> int:
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return min(len(a), len(b))

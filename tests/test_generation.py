@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -236,6 +237,31 @@ def test_enumerate_factors_terminating_direction():
     enum = enumerate_factors(ApproxDirection(math.pi / 8), 4, depth=10)
     assert factor_set(traced, 4) <= enum
     assert factor_set(traced, 4) <= factor_set(per("AD"), 4) | factor_set(per("BC"), 4)
+
+
+def test_enumerate_factors_stops_at_three_equal_sets():
+    # a family that never changes, below the 16-factor ceiling of length 5
+    family = frozenset({per("AD")})
+    with mock.patch("cutseq.generation.build_family", return_value=family) as built:
+        factors = enumerate_factors(ApproxDirection(0.9), 5, depth=30)
+    assert built.call_count == 3
+    assert factors == factor_set(per("AD"), 5)
+
+
+def test_enumerate_factors_word_length_valve_returns_the_deepest_set():
+    prefix = (0, 1, 6, 2, 5, 3, 7, 1, 4, 2, 6)
+    with mock.patch("cutseq.generation.build_family", wraps=build_family) as built:
+        enumerate_factors(prefix, 8)
+    assert built.call_count > 2  # without the valve the deepening goes on
+    with mock.patch("cutseq.generation._MAX_WORD_LENGTH", 5), mock.patch(
+        "cutseq.generation.build_family", wraps=build_family
+    ) as built:
+        factors = enumerate_factors(prefix, 8)
+    # the family at depth 1 has a word of 6 letters, and 13 factors against a ceiling of 25
+    assert built.call_count == 2
+    deepest = build_family(prefix[:2])
+    assert factors == frozenset().union(*(factor_set(w, 8) for w in deepest))
+    assert len(factors) < 25
 
 
 def test_family_members_are_periodic_cutting_sequences():

@@ -1,10 +1,12 @@
 """Property tests: the word kernel, the least rotation, the Q(sqrt 2) scalar,
 the float and exact tracers, factor sets and factor counts against naive
 references, periodic words built from every rotation against the canonical one,
-renormalization against the route that derives each level twice, the order of
-exact directions against their angle keys, the Moebius action as a homomorphism
-and on integers against scalar-by-scalar references, the float tracer's table of
-T^K against the one-step loop, and the text round trips of scalars and words."""
+renormalization against the route that derives each level twice, generation
+against the pair-by-pair join, the text memo against the unmemoized kernels,
+the order of exact directions against their angle keys, the Moebius action as a
+homomorphism and on integers against scalar-by-scalar references, the float
+tracer's table of T^K against the one-step loop, and the text round trips of
+scalars and words."""
 
 import math
 import random
@@ -40,14 +42,19 @@ from cutseq.exact_arith import (
     moebius_apply,
 )
 from cutseq.farey import _order, farey_branch
-from cutseq.generation import generate
+from cutseq.generation import _insertions, generate
 from cutseq.polygon import build_polygon, isometry_nu
 from cutseq.symbolic import (
+    _MEMO_SIZE,
     CutseqError,
     InadmissibleWordError,
     LetterPermutation,
     PeriodicWord,
     WordWindow,
+    _held,
+    _pair_set,
+    _sandwiched_letters,
+    _wrapped,
     admissible_diagrams,
     build_diagram,
     derive,
@@ -299,6 +306,101 @@ def test_generation_inverts_derivation(data):
     w = data.draw(admissible_periodic(k))
     assert build_diagram(k, 4).admits(w)
     assert derive(generate(k, 0, w)) == w
+
+
+def join_generate(k, i, w, n):
+    """generate one pair at a time, the route the marked replacements replaced: the
+    piece a + w(a, b) of each adjacent pair (a periodic word's wrap pair last), then
+    a finite word's last letter."""
+    s = _held(w)
+    if not s:
+        return w
+    pieces = _insertions(k, n)
+    if isinstance(w, PeriodicWord):
+        out = PeriodicWord.of("".join(map(pieces.__getitem__, zip(s, s[1:] + s[0]))))
+    else:
+        body = "".join(map(pieces.__getitem__, zip(s, s[1:]))) + s[-1]
+        out = WordWindow(body) if isinstance(w, WordWindow) else body
+    return out if i == 0 else permute(sector_permutation(i, n).inverse(), out)
+
+
+@st.composite
+def generation_inputs(draw):
+    """(k, i, n, a str, window or periodic word admissible in diagram k), n = 3..6: a
+    walk through diagram k that stays on a self-loop most of the time it can, a
+    periodic word closed by a shortest path."""
+    n = draw(st.integers(3, 6))
+    k, i = draw(st.integers(1, 2 * n - 1)), draw(st.integers(0, 2 * n - 1))
+    d = build_diagram(k, n)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    text = rng.choice(sorted({a for a, _ in d.edges}))
+    for _ in range(draw(st.integers(0, 300))):
+        c = text[-1]
+        text += c if (c, c) in d.edges and rng.random() < 0.7 else rng.choice(d.successors(c))
+    kind = draw(st.sampled_from(["str", "window", "periodic"]))
+    if kind == "periodic":
+        text += _closing(d, text[-1], text[0])[:-1]
+    return k, i, n, as_kind(kind, text)
+
+
+def assert_same_word(got, want):
+    assert type(got) is type(want) and got == want and repr(got) == repr(want)
+    assert _held(got) == _held(want)
+
+
+@FAST
+@given(generation_inputs())
+def test_bulk_regeneration_matches_pair_join(case):
+    k, i, n, w = case
+    assert_same_word(generate(k, i, w, n), join_generate(k, i, w, n))
+
+
+def test_bulk_regeneration_of_self_loop_runs_and_one_letter_periods():
+    for n in range(3, 7):
+        for k in range(1, 2 * n):
+            loops = [a for a, b in build_diagram(k, n).edges if a == b]
+            assert loops  # every diagram has one
+            for c in loops:
+                for i in (0, k):
+                    for w in [PeriodicWord.of(c)] + [as_kind(kind, c * r) for r in range(1, 8)
+                                                     for kind in ("str", "window")]:
+                        assert_same_word(generate(k, i, w, n), join_generate(k, i, w, n))
+    for w in ("a", WordWindow("\xe9")):  # one letter has no pair: admitted, whatever it is
+        assert_same_word(generate(1, 0, w, 4), join_generate(1, 0, w, 4))
+
+
+# -- the text memo of derive and transition_set ----------------------------------
+
+
+@FAST
+@given(st.one_of(words(), long_words()))
+def test_memo_answers_each_container_in_its_own_type(nw):
+    """A str, a window and a periodic word over equal text (a periodic word shares its
+    key with the str of its wrapped period) each get a result of their own type, on a
+    memo miss and on a hit, equal to the unmemoized kernels."""
+    _, w = nw
+    text = _held(w) or "A"
+    wrapped = text[-1] + text + text[0]
+    for x in (text, WordWindow(text), PeriodicWord.of(text), wrapped, WordWindow(wrapped)):
+        key = _wrapped(x, held=True)
+        for _ in range(2):
+            got = derive(x)
+            assert type(got) is type(naive_derive(x)) and got == naive_derive(x)
+            assert _sandwiched_letters(key) == _sandwiched_letters.__wrapped__(key)
+            pairs = transition_set(x)
+            assert pairs == _pair_set.__wrapped__(key) == frozenset(naive_transitions(x))
+
+
+def test_memo_holds_at_most_its_size():
+    rng = random.Random(15)
+    for _ in range(4 * _MEMO_SIZE):
+        text = "".join(rng.choice("ABCD") for _ in range(500))
+        derive(text)
+        derive(PeriodicWord.of(text))
+        transition_set(WordWindow(text))
+    for kernel in (_sandwiched_letters, _pair_set):
+        info = kernel.cache_info()
+        assert info.maxsize == _MEMO_SIZE and info.currsize <= _MEMO_SIZE
 
 
 @FAST
@@ -1067,6 +1169,17 @@ def test_exact_tracer_matches_side_by_side_reference(ray):
 
 def naive_factor_counts(w, top):
     return {k: len({w[i : i + k] for i in range(len(w) - k + 1)}) for k in range(1, top + 1)}
+
+
+@FAST
+@given(st.text(alphabet="ABC", min_size=1, max_size=60), st.integers(1, 12))
+@example("AAAAB", 3)  # B and AB first occur in the tail, and start no factor AAA or AAB
+@example("ABCDEFGH", 8)  # each factor shorter than 8 but the prefixes lies in the tail
+@example("ABABABCAB", 4)
+@example("A\x00A\x00B\x00", 2)
+def test_factor_counts_upto_counts_factors_of_the_tail(word, top):
+    assume(top <= len(word))
+    assert factor_counts_upto(word, top) == naive_factor_counts(word, top)
 
 
 @FAST
