@@ -1,12 +1,14 @@
 """Command line front end: JSON (or SVG) on stdout, diagnostics on stderr.
 
-Every output embeds a run manifest (command, flags, seed, version, timestamp);
-the flags always include the timestamp, taken from --timestamp or from the
-clock, so re-running the same command with the manifest's flags alone
-reproduces the output byte for byte.  Exit codes: 0 success,
-1 usage errors (malformed flags or flag values), 2 domain errors (a CutseqError:
-vertex hits, ambiguity, inadmissible words).  Any other exception is a bug and
-keeps its traceback.
+It only maps flags to library calls: words and scalars are read, written and
+refused by the library (`parse_word`, `format_word`, `Q2Scalar.parse`), and so
+is a float direction for exact tracing.  Every output embeds a run manifest
+(command, flags, seed, version, timestamp); the flags always include the
+timestamp, taken from --timestamp or from the clock, so re-running the same
+command with the manifest's flags alone reproduces the output byte for byte.
+Exit codes: 0 success, 1 usage errors (malformed flags or flag values), 2
+domain errors (a CutseqError: vertex hits, ambiguity, inadmissible words).  Any
+other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from .polygon import build_polygon
 from .symbolic import (
     CutseqError,
     InadmissibleWordError,
-    PeriodicWord,
     build_diagram,
     derive,
     factor_counts_upto,
     format_word,
     is_exhausted,
     parse_word,
-    word_text,
 )
 from .tracer import (
     TraceConfig,
@@ -108,18 +108,6 @@ def _interval_json(iv) -> dict:
     return {"interval_lo": lo, "interval_hi": hi, "prefix": list(iv.prefix)}
 
 
-def _parse_any_word(text: str, n: int):
-    if text.startswith("per:"):
-        return PeriodicWord.of(parse_word(text[4:], n))
-    return parse_word(text, n)
-
-
-def _word_json(w, n: int) -> str:
-    if isinstance(w, PeriodicWord):
-        return "per:" + format_word(w.period, n)
-    return format_word(word_text(w), n)
-
-
 def _emit(payload: dict, args) -> None:
     # resolved before the flags are recorded, so the flags alone replay the run
     args.timestamp = args.timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -144,8 +132,6 @@ def _emit(payload: dict, args) -> None:
 def _trace_setup(args, poly, exact: bool = False):
     """Direction, start point (given or seeded), its JSON form and the trace config."""
     d = _parse_direction(args)
-    if exact and not isinstance(d, ExactDirection):
-        raise CutseqError("--exact tracing needs an exact --cot direction")
     rng = random.Random(args.seed)
     if args.start:
         scalar = Q2Scalar.parse if exact else float
@@ -184,7 +170,7 @@ def _cmd_plot(args) -> None:
 
 
 def _cmd_derive(args) -> dict:
-    w = _parse_any_word(args.word, args.n)
+    w = parse_word(args.word, args.n)
     out = w
     exhausted_at = None
     for step in range(args.times):
@@ -196,7 +182,7 @@ def _cmd_derive(args) -> dict:
         sys.stderr.write(
             f"cutseq: window exhausted after {exhausted_at} of {args.times} derivations\n"
         )
-    payload = {"derived": None if out is None else _word_json(out, args.n)}
+    payload = {"derived": None if out is None else format_word(out, args.n)}
     if args.times > 1:
         payload["times"] = args.times
         payload["exhausted_at"] = exhausted_at
@@ -221,7 +207,7 @@ def _cmd_recognize(args) -> dict:
                 text = fh.read().strip()
         except OSError as exc:
             raise UsageError(f"argument --word-file: {exc.strerror}: {args.word_file!r}") from None
-    w = _parse_any_word(text, args.n)
+    w = parse_word(text, args.n)
     iv = recognize_direction(w, args.depth, args.n)
     payload = {"diagrams": list(iv.prefix)}
     payload.update(_interval_json(iv))
@@ -243,28 +229,30 @@ def _cmd_expand(args) -> dict:
 
 
 def _cmd_generate(args) -> dict:
-    w = _parse_any_word(args.word, args.n)
-    return {"generated": _word_json(generate(args.src, args.dst, w, args.n), args.n)}
+    w = parse_word(args.word, args.n)
+    return {"generated": format_word(generate(args.src, args.dst, w, args.n), args.n)}
 
 
 def _cmd_seeds(args) -> dict:
-    return {"seeds": sorted(_word_json(w, args.n) for w in periodic_seeds(args.k, args.n))}
+    return {"seeds": sorted(format_word(w, args.n) for w in periodic_seeds(args.k, args.n))}
 
 
 def _cmd_families(args) -> dict:
     prefix = _parse_flag("--prefix", args.prefix, _parse_ints)
     seeds = None
     if args.seeds != "periodic":
-        seeds = [_parse_any_word(t, args.n) for t in args.seeds.split(",")]
+        seeds = [parse_word(t, args.n) for t in args.seeds.split(",")]
     fam = build_family(prefix, seeds, args.n)
-    return {"prefix": list(prefix), "words": sorted(_word_json(w, args.n) for w in fam)}
+    return {"prefix": list(prefix), "words": sorted(format_word(w, args.n) for w in fam)}
 
 
 def _cmd_enumerate(args) -> dict:
-    if args.prefix:
+    if not args.prefix:
+        source = _parse_direction(args)
+    elif args.theta is None and args.cot is None:
         source = _parse_flag("--prefix", args.prefix, _parse_ints)
     else:
-        source = _parse_direction(args)
+        raise UsageError("give exactly one of --prefix, --theta or --cot")
     factors = enumerate_factors(source, args.len, args.depth, args.n)
     return {"length": args.len, "count": len(factors), "factors": sorted(factors)}
 
@@ -272,7 +260,7 @@ def _cmd_enumerate(args) -> dict:
 def _cmd_check_coherence(args) -> dict:
     if (args.i is None) != (args.j is None):
         raise UsageError("give both of --i and --j, or neither")
-    w = _parse_any_word(args.word, args.n)
+    w = parse_word(args.word, args.n)
     explicit = args.i is not None
     steps = []
     if args.depth != 0 or not explicit:  # only --depth 0 with a pair asks for no chain

@@ -147,28 +147,17 @@ class Q2Scalar:
 
     @classmethod
     def parse(cls, text: str) -> Q2Scalar:
-        """Parse 'p/q', 'r/s*sqrt2' or 'p/q+r/s*sqrt2' (signs and spaces allowed)."""
-        s = text.replace(" ", "")
+        """Parse 'p/q', 'r/s*sqrt2' or 'p/q+r/s*sqrt2': spaces allowed, a sign between parts."""
         m = re.fullmatch(
-            r"(?P<a>[+-]?\d+(?:/\d+)?)?"
-            r"(?:(?P<op>[+-])?(?P<b>\d+(?:/\d+)?)?\*?sqrt2)?",
-            s,
+            r"(?=.)(?P<a>[+-]?\d+(?:/\d+)?(?=[+-]|\Z))?"  # the rational part ends at a sign
+            r"(?:(?P<sign>[+-]?)(?P<coeff>\d+(?:/\d+)?)?\*?sqrt2)?",
+            text.replace(" ", ""),
         )
-        if not m or (m.group("a") is None and "sqrt2" not in s) or s == "":
+        if m is None:
             raise ValueError(f"cannot parse Q(sqrt 2) scalar: {text!r}")
-        a = Fraction(0)
-        b = Fraction(0)
-        if "sqrt2" in s:
-            coeff = Fraction(m.group("b") or 1)
-            b = -coeff if m.group("op") == "-" else coeff
-            if m.group("a") is not None and m.group("op") is None and m.group("b") is None:
-                # forms like '3sqrt2' without operator: the leading number is b
-                b = Fraction(m.group("a"))
-            elif m.group("a") is not None:
-                a = Fraction(m.group("a"))
-        else:
-            a = Fraction(m.group("a"))
-        return cls(a, b)
+        a, sign, coeff = m.group("a", "sign", "coeff")
+        b = 0 if sign is None else Fraction(sign + (coeff or "1"))
+        return cls(Fraction(a or 0), b)
 
 
 def _reduced(p: int, q: int, d: int) -> Q2Scalar:

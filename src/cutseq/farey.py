@@ -93,11 +93,9 @@ class Expansion:
 
     @property
     def in_s_star(self) -> bool:
-        """Entry 0 may occur only in position 0."""
-        top = 2 * self.n - 1
-        if any(not 0 <= e <= top for e in self.entries):
-            return False
-        return all(e != 0 for e in self.entries[1:]) and (self.tail != 0)
+        """The entry rule of S*: a first entry in 0..2n-1, every later one in 1..2n-1."""
+        top, entries = 2 * self.n - 1, self.entries
+        return all(0 < e <= top for e in entries[1:]) and (not entries or 0 <= entries[0] <= top)
 
     @property
     def is_sector_sequence(self) -> bool:
@@ -131,8 +129,7 @@ class Expansion:
 def _check_prefix(prefix: tuple[int, ...], n: int) -> None:
     if not prefix:
         raise InvalidPrefixError("empty prefix")
-    top = 2 * n - 1
-    if not 0 <= prefix[0] <= top or any(not 1 <= e <= top for e in prefix[1:]):
+    if not Expansion(n, prefix).in_s_star:
         raise InvalidPrefixError(f"prefix {prefix} violates the entry constraints")
 
 

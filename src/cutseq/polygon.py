@@ -63,6 +63,12 @@ def _cot(k: int, n: int):
     return 1.0 / math.tan(k * math.pi / (2 * n))
 
 
+def _outward(x, y, a, b):
+    """Offset of (x, y) along the outward (left, the polygon is clockwise) normal of side a -> b."""
+    (ax, ay), (bx, by) = a, b
+    return (x - ax) * (ay - by) + (y - ay) * (bx - ax)
+
+
 @dataclass(frozen=True)
 class LabeledPolygon:
     """A labelled regular 2n-gon with opposite sides identified."""
@@ -93,22 +99,13 @@ class LabeledPolygon:
         return v[side], v[(side + 1) % (2 * self.n)]
 
     def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
-        """Interior test (convexity): inside every outward half-plane by margin."""
-        for k in range(2 * self.n):
-            (ax, ay), (bx, by) = self.side_endpoints(k)
-            ex, ey = bx - ax, by - ay
-            # outward normal of a clockwise polygon is the left normal (-ey, ex)
-            if (x - ax) * (-ey) + (y - ay) * ex > -margin:
-                return False
-        return True
+        """Interior test (convexity): inside every outward half-plane by margin; NaN is outside."""
+        return all(_outward(x, y, *self.side_endpoints(k)) < -margin for k in range(2 * self.n))
 
     def contains_exact(self, x: Q2Scalar, y: Q2Scalar) -> bool:
-        for k in range(2 * self.n):
-            (ax, ay), (bx, by) = self.exact_side_endpoints(k)
-            ex, ey = bx - ax, by - ay
-            if ((x - ax) * (-ey) + (y - ay) * ex).sign() >= 0:
-                return False
-        return True
+        return all(
+            _outward(x, y, *self.exact_side_endpoints(k)).sign() < 0 for k in range(2 * self.n)
+        )
 
     def to_json(self) -> dict:
         return {

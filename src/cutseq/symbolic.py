@@ -21,6 +21,10 @@ XOR the right neighbours have a zero byte exactly at the kept letters; a
 marks the dropped ones, and `bytes.translate` deletes them.  ASCII has no 0xFF,
 so every kept character survives; other text keeps the zip.
 
+Words have one text form, read by `parse_word` and written by `format_word`
+and nowhere else: plain letters for n <= 4, labels 'L1 L5 ...' beyond (either
+is read at any n), and for a periodic word its period after the marker `per:`.
+
 Alphabet questions read one code per adjacent pair instead (`_pair_codes`).  On
 a long text over at most six letters A-Z, one 256-byte table maps each letter
 to a 3-bit code and every other character to 0xFF (a 0xFF sends the text to the
@@ -60,6 +64,7 @@ from itertools import accumulate
 LETTERS = string.ascii_uppercase
 MAX_ALPHABET = len(LETTERS)
 _LABELS = str.maketrans({c: f"L{j} " for j, c in enumerate(LETTERS, 1)})
+_PERIODIC = "per:"  # the text form's marker of a periodic word
 
 
 class CutseqError(ValueError):
@@ -110,17 +115,19 @@ def check_word(word: str, n: int) -> None:
         raise CutseqError(f"letters {sorted(bad)} outside alphabet of size {n}")
 
 
-def format_word(word: str, n: int) -> str:
-    """External text form: plain letters for n <= 4, 'L1 L5 ...' beyond."""
-    if n <= 4:
-        return word
-    return word.translate(_LABELS).rstrip()
+def format_word(w: Wordlike, n: int) -> str:
+    """The text form of any word (module doc): its letters, a periodic word's after `per:`."""
+    text = word_text(w)
+    if n > 4:
+        text = text.translate(_LABELS).rstrip()
+    return _PERIODIC + text if isinstance(w, PeriodicWord) else text
 
 
-def parse_word(text: str, n: int) -> str:
+def parse_word(text: str, n: int) -> str | PeriodicWord:
+    """Read any text form of a word (module doc); a leading `per:` gives a PeriodicWord."""
     s = text.strip()
-    if s.startswith("per:"):
-        raise CutseqError("periodic marker not allowed here")
+    periodic = s.startswith(_PERIODIC)
+    s = s.removeprefix(_PERIODIC)
     if "L" in s and any(ch.isdigit() for ch in s):
         parts = s.replace(",", " ").split()
         try:
@@ -135,7 +142,7 @@ def parse_word(text: str, n: int) -> str:
     else:
         word = s.replace(" ", "")
     check_word(word, n)
-    return word
+    return PeriodicWord.of(word) if periodic else word
 
 
 # -- word containers ---------------------------------------------------------
@@ -208,7 +215,7 @@ class PeriodicWord:
         return f"PeriodicWord(period={self.period!r})"
 
     def __str__(self) -> str:
-        return f"per:{self.period}"
+        return _PERIODIC + self.period
 
     def window(self, length: int) -> WordWindow:
         return WordWindow(_repeat(self.period, length))

@@ -114,7 +114,7 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
     """
     if cfg.mode == "exact":
         if not isinstance(d, ExactDirection):
-            raise TypeError("exact tracing needs an exact direction")
+            raise CutseqError("exact tracing needs an exact direction")
         vx, vy = d.x, d.y
         px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
         endpoints, eps, zero, one = poly.exact_side_endpoints, ZERO, ZERO, ONE

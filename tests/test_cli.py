@@ -390,3 +390,34 @@ def test_trace_exact_seeded_start(capsys):
     assert build_polygon(4).contains_exact(x, y)
     assert len(doc["word"]) == 6
     assert run_json(capsys, *argv)["start"] == doc["start"]  # the seed fixes the start
+
+
+@pytest.mark.parametrize("direction", [["--theta", "0.5"], ["--cot", "1"]])
+def test_enumerate_prefix_and_direction_is_usage_error(capsys, direction):
+    code, out, err = run(capsys, "enumerate", "--prefix", "0,1,6", *direction, "--len", "3")
+    assert (code, out) == (1, "")
+    assert err == "cutseq: error: give exactly one of --prefix, --theta or --cot\n"
+
+
+@pytest.mark.parametrize("cot", ["1/32/3*sqrt2", "3/3 2/3*sqrt2"])
+def test_cot_without_a_sign_between_its_parts_is_usage_error(capsys, cot):
+    code, out, err = run(capsys, "expand-direction", "--cot", cot)
+    assert (code, out) == (1, "")
+    assert err == f"cutseq: error: argument --cot: invalid value {cot!r}\n"
+
+
+def test_exact_trace_of_a_float_direction_reports_the_library_refusal(capsys):
+    code, out, err = run(capsys, "trace", "--theta", "0.5", "--exact", "--crossings", "3")
+    assert (code, out, err) == (2, "", "cutseq: exact tracing needs an exact direction\n")
+
+
+def test_periodic_marker_is_read_once(capsys):
+    code, out, err = run(capsys, "derive", "--word", "per:per:AB")
+    assert (code, out) == (2, "")
+    assert err == "cutseq: letters [':', 'e', 'p', 'r'] outside alphabet of size 4\n"
+    assert run_json(capsys, "derive", "--word", " per:AB")["derived"] == "per:AB"
+
+
+def test_derive_labelled_periodic_word(capsys):
+    doc = run_json(capsys, "derive", "--word", "per:L1 L2 L1 L3", "--n", "6", "--times", "2")
+    assert doc["derived"] == "per:L2 L3"

@@ -85,7 +85,39 @@ def test_str_parse_roundtrip():
         Q2Scalar.parse("nonsense")
 
 
+@pytest.mark.parametrize(
+    "text, a, b",
+    [
+        ("1/3+2/3*sqrt2", Fraction(1, 3), Fraction(2, 3)),
+        ("1/3-sqrt2", Fraction(1, 3), -1),
+        ("-3sqrt2", 0, -3),
+        ("sqrt2", 0, 1),
+        ("+2/3", Fraction(2, 3), 0),
+    ],
+)
+def test_parse_reads_each_part_once(text, a, b):
+    assert Q2Scalar.parse(text) == q2(a, b)
+
+
+@pytest.mark.parametrize("text", ["1/32/3*sqrt2", "3/3 2/3*sqrt2", "2/32/3sqrt2", "", "+", "1+2"])
+def test_parse_refuses_parts_without_a_sign_between(text):
+    # the rational part ends at a sign or at the end: no digit is split between parts
+    with pytest.raises(ValueError):
+        Q2Scalar.parse(text)
+
+
 # -- matrices -----------------------------------------------------------------
+
+
+def test_float_action_flips_an_image_below_the_horizontal():
+    # rotation by -pi/2 sends every direction in (0, pi/2) below the axis
+    rot = Mat2(0.0, 1.0, -1.0, 0.0)
+    exact_rot = Mat2(q2(0), q2(1), q2(-1), q2(0))
+    for cot in (q2(2), q2(1, 1), q2(Fraction(1, 5))):
+        d = ExactDirection.from_cot(cot)
+        img = moebius_apply(rot, ApproxDirection(d.theta()))
+        assert img.theta == pytest.approx(moebius_apply(exact_rot, d).theta(), abs=1e-12)
+        assert math.pi / 2 < img.theta < math.pi
 
 
 def test_veech_matrix_identities():

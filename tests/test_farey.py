@@ -210,6 +210,13 @@ def test_is_terminating():
         assert r.terminating and r.tail in (1, 7)
 
 
+@pytest.mark.parametrize("theta, tail", [(math.pi / 8, 1), (math.pi, 7)])
+def test_float_fixed_point_is_a_heuristic_termination(theta, tail):
+    # a float direction on a branch fixed point is terminating only heuristically
+    r = is_terminating(ApproxDirection(theta), 4, 30)
+    assert r.terminating and r.certainty == "heuristic" and r.tail == tail
+
+
 def test_square_farey_values():
     assert square_farey(Fraction(1, 2)) == 1
     assert square_farey(0) == 0

@@ -109,6 +109,16 @@ def test_generate_rejects_inadmissible_input():
         generate(3, 0, "CC")
 
 
+@pytest.mark.parametrize(
+    "k, i, match",
+    [(0, 0, "source diagram 0 outside 1..7"), (8, 0, "source diagram 8 outside 1..7"),
+     (3, 8, "target diagram 8 outside 0..7"), (3, -1, "target diagram -1 outside 0..7")],
+)
+def test_generate_refuses_sources_and_targets_outside_range(k, i, match):
+    with pytest.raises(InvalidPrefixError, match=match):
+        generate(k, i, "CDBAABDBD")
+
+
 def test_generate_periodic_examples():
     assert generate(6, 0, per("BA")) == per("BDAD")
     assert generate(6, 1, per("BA")) == per("CADA")

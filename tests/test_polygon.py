@@ -30,6 +30,12 @@ def test_square():
     assert p.exact_vertices is not None
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_nan_point_is_outside(x, y):
+    assert build_polygon(4).contains(0.0, 0.0)
+    assert not build_polygon(4).contains(x, y)
+
+
 def test_octagon_exact_coordinates():
     p = build_polygon(4)
     # unit side length, exactly, for all eight sides

@@ -207,6 +207,34 @@ def test_word_label_outside_alphabet_is_refused(text):
         parse_word(text, 6)
 
 
+@pytest.mark.parametrize(
+    "w, n, text",
+    [
+        (PeriodicWord.of("DBAB"), 4, "per:ABDB"),  # printed in its canonical rotation
+        (PeriodicWord.of("AFCA"), 6, "per:L1 L1 L6 L3"),
+        ("AFCE", 6, "L1 L6 L3 L5"),
+        (WordWindow("ADBD"), 4, "ADBD"),
+    ],
+)
+def test_word_text_form_round_trip(w, n, text):
+    assert format_word(w, n) == text
+    assert parse_word(text, n) == (w.letters if isinstance(w, WordWindow) else w)
+
+
+@pytest.mark.parametrize(
+    "text, n, word",
+    [(" per:AB ", 4, PeriodicWord.of("AB")), ("per: L2 L3", 6, PeriodicWord.of("BC"))],
+)
+def test_periodic_marker_is_read_after_blanks(text, n, word):
+    assert parse_word(text, n) == word
+
+
+@pytest.mark.parametrize("text", ["per:per:AB", "per:", "per:per:L1 L2"])
+def test_periodic_marker_is_read_once(text):
+    with pytest.raises(CutseqError):
+        parse_word(text, 4)
+
+
 def test_square_derivation_demo():
     w = "ABBBABBBBABBBABBBABBBBA"
     expected = "ABBABBBABBABBABBBA"

@@ -91,6 +91,12 @@ def test_exact_vertex_hit():
     assert (hit.value.crossing, hit.value.side) == (0, 0)
 
 
+def test_exact_mode_refuses_a_float_direction():
+    cfg = TraceConfig(max_crossings=5, mode="exact")
+    with pytest.raises(CutseqError, match="exact tracing needs an exact direction"):
+        trace(OCT, (q2(0), q2(Fraction(1, 10))), ApproxDirection(0.5), cfg)
+
+
 def _trace_outcome(poly, start, d, cfg):
     try:
         return trace_word(poly, start, d, cfg), detect_period(poly, start, d, cfg)
