@@ -1,15 +1,21 @@
 """Exact arithmetic in Q(sqrt 2) and the projective action of 2x2 matrices on directions.
 
 A scalar a + b*sqrt(2) is held as three Python ints (p, q, d) with value
-(p + q*sqrt(2)) / d, d > 0 and gcd(p, q, d) = 1.  The Moebius image of an exact
-direction and each entry of an exact matrix product are formed on integer
-cross-products and reduced once per result, not once per scalar step.  Sign
-tests are decided exactly on integer cross-products, never through floating
-point, so sector classifications downstream carry no tolerance.  Directions live on
-the projective line: either an exact Q(sqrt 2) vector normalized to (mu, 1) or
-(+-1, 0), or a floating angle in [0, pi].  The two horizontal points (1, 0) and
-(-1, 0) are kept distinct because the renormalization map in angle coordinates
-sends 0 to pi.
+(p + q*sqrt(2)) / d, d > 0 and gcd(p, q, d) = 1.  An exact matrix is held in
+one-denominator form: the eight ints (p, q) of its four entries
+(p + q*sqrt(2)) / D and one denominator D > 0, with gcd 1 over all nine, so the
+form is canonical and equality and hashing compare ints.  A product is one
+integer expression and one gcd; the Moebius image of a direction is the integer
+vector the numerators give, reduced once.  Sign tests are decided exactly on
+ints, never through floating point, so sector classifications downstream carry
+no tolerance.  The radicand is the one constant RADICAND.
+
+Directions live on the projective line: either an exact Q(sqrt 2) vector
+normalized to (mu, 1) or (+-1, 0), or a floating angle in [0, pi].  The two
+horizontal points (1, 0) and (-1, 0) are kept distinct because the
+renormalization map in angle coordinates sends 0 to pi.  A chain of matrices
+acts on an exact direction as an unnormalized integer vector, kept in the upper
+half plane by one sign test per matrix and normalized once at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-SQRT2_FLOAT = math.sqrt(2.0)
+# the square-free d of the field Q(sqrt d); every product, norm and sign below reads it
+RADICAND = 2
+SQRT2_FLOAT = math.sqrt(RADICAND)
+_ROOT = f"sqrt{RADICAND}"  # the text form of sqrt(d) in scalars' str and parse
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -86,14 +95,14 @@ class Q2Scalar:
     def __mul__(self, other: Q2Scalar | int) -> Q2Scalar:
         o = _coerce(other)
         p, q, r, s = self._p, self._q, o._p, o._q
-        return _reduced(p * r + 2 * q * s, p * s + q * r, self._d * o._d)
+        return _reduced(p * r + RADICAND * q * s, p * s + q * r, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> Q2Scalar:
         # d / (p + q s) = d (p - q s) / (p^2 - 2 q^2); the norm vanishes only at 0.
         p, q, d = self._p, self._q, self._d
-        norm = p * p - 2 * q * q
+        norm = p * p - RADICAND * q * q
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
         return _reduced(p * d, -q * d, norm)
@@ -139,7 +148,7 @@ class Q2Scalar:
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
-        tail = f"{abs(self.b)}*sqrt2"
+        tail = f"{abs(self.b)}*{_ROOT}"
         if self.a == 0:
             return tail if self.b > 0 else "-" + tail
         op = "+" if self.b > 0 else "-"
@@ -150,7 +159,7 @@ class Q2Scalar:
         """Parse 'p/q', 'r/s*sqrt2' or 'p/q+r/s*sqrt2': spaces allowed, a sign between parts."""
         m = re.fullmatch(
             r"(?=.)(?P<a>[+-]?\d+(?:/\d+)?(?=[+-]|\Z))?"  # the rational part ends at a sign
-            r"(?:(?P<sign>[+-]?)(?P<coeff>\d+(?:/\d+)?)?\*?sqrt2)?",
+            rf"(?:(?P<sign>[+-]?)(?P<coeff>\d+(?:/\d+)?)?\*?{_ROOT})?",
             text.replace(" ", ""),
         )
         if m is None:
@@ -177,23 +186,26 @@ def _sign(p: int, q: int) -> int:
     sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
     if sq == 0 or sp == sq:
         return sp
-    return sp if p * p > 2 * q * q else sq
-
-
-def _dot(x: Q2Scalar, y: Q2Scalar, z: Q2Scalar, w: Q2Scalar) -> tuple[int, int, int]:
-    """The unreduced triple of x*y + z*w, by integer cross-products."""
-    p, q, r, s = x._p, x._q, y._p, y._q
-    f, g = p * r + 2 * q * s, p * s + q * r
-    p, q, r, s = z._p, z._q, w._p, w._q
-    h, k = p * r + 2 * q * s, p * s + q * r
-    d, e = x._d * y._d, z._d * w._d
-    if d == e:
-        return f + h, g + k, d
-    return f * e + h * d, g * e + k * d, d * e
+    return sp if p * p > RADICAND * q * q else sq
 
 
 def _coerce(value: Q2Scalar | int | Fraction | float) -> Q2Scalar:
     return value if isinstance(value, Q2Scalar) else Q2Scalar(value)
+
+
+def _over_one_denominator(scalars) -> tuple[int, list[int]]:
+    """(D, [p0, q0, p1, q1, ...]): each scalar as (p + q*sqrt(2)) / D over their least common D.
+
+    Each scalar is canonical, so no prime divides D and every p and q: the
+    pairs and D have gcd 1.
+    """
+    scalars = [_coerce(s) for s in scalars]
+    den = math.lcm(*(s._d for s in scalars))
+    ints = []
+    for s in scalars:
+        k = den // s._d
+        ints += (s._p * k, s._q * k)
+    return den, ints
 
 
 ZERO = Q2Scalar()
@@ -201,20 +213,24 @@ ONE = Q2Scalar(1)
 HALF_SQRT2 = Q2Scalar(0, Fraction(1, 2))
 
 
-def _sign_of(value) -> int:
-    if isinstance(value, Q2Scalar):
-        return value.sign()
-    return (value > 0) - (value < 0)
-
-
-@dataclass(frozen=True)
 class Mat2:
-    """A 2x2 matrix; entries are Q2Scalar (exact) or float, uniformly per matrix."""
+    """A 2x2 matrix; entries are Q2Scalar (exact) or float, uniformly per matrix.
 
-    m11: object
-    m12: object
-    m21: object
-    m22: object
+    An exact matrix is held in one-denominator form (see the module docstring):
+    `_ints` are the pairs (p, q) of m11, m12, m21, m22 over the one
+    denominator `_den`.  Its entries are read as reduced Q2Scalar.  A float
+    matrix keeps its entries as given.
+    """
+
+    __slots__ = ("_ints", "_den", "_entries", "_floats")
+
+    def __init__(self, m11, m12, m21, m22):
+        self._floats = None  # as_floats, filled on first use
+        if isinstance(m11, Q2Scalar):
+            self._den, ints = _over_one_denominator((m11, m12, m21, m22))
+            self._ints, self._entries = tuple(ints), None
+        else:
+            self._ints, self._den, self._entries = None, None, (m11, m12, m21, m22)
 
     @classmethod
     def identity(cls) -> Mat2:
@@ -222,39 +238,88 @@ class Mat2:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.m11, Q2Scalar)
+        return self._ints is not None
 
-    def det(self):
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def __matmul__(self, other: Mat2) -> Mat2:
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        if self.is_exact and other.is_exact:  # each entry reduced once
-            return Mat2(
-                _reduced(*_dot(a, e, b, g)), _reduced(*_dot(a, f, b, h)),
-                _reduced(*_dot(c, e, d, g)), _reduced(*_dot(c, f, d, h)),
-            )
-        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    def inverse(self) -> Mat2:
-        d = self.det()
-        if _sign_of(d) == 0:
-            raise SingularMatrixError("matrix has zero determinant")
-        return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
+    m11 = property(lambda self: self.entries()[0])
+    m12 = property(lambda self: self.entries()[1])
+    m21 = property(lambda self: self.entries()[2])
+    m22 = property(lambda self: self.entries()[3])
 
     def entries(self) -> tuple:
-        return (self.m11, self.m12, self.m21, self.m22)
+        ints = self._ints
+        if ints is None:
+            return self._entries
+        den = self._den
+        return tuple(_reduced(ints[k], ints[k + 1], den) for k in (0, 2, 4, 6))
+
+    def _key(self) -> tuple:
+        return self._entries if self._ints is None else (self._ints, self._den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        m11, m12, m21, m22 = self.entries()
+        return f"Mat2(m11={m11!r}, m12={m12!r}, m21={m21!r}, m22={m22!r})"
+
+    def det(self):
+        m11, m12, m21, m22 = self.entries()
+        return m11 * m22 - m12 * m21
+
+    def __matmul__(self, other: Mat2) -> Mat2:
+        x, y = self._ints, other._ints
+        if x is None or y is None:
+            a, b, c, d = self.entries()
+            e, f, g, h = other.entries()
+            return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        # column by column: the numerators of self times each column of other's
+        p11, q11, p12, q12, p21, q21, p22, q22 = y
+        c11p, c11q, c21p, c21q = _act(x, p11, q11, p21, q21)
+        c12p, c12q, c22p, c22q = _act(x, p12, q12, p22, q22)
+        return _mat2((c11p, c11q, c12p, c12q, c21p, c21q, c22p, c22q), self._den * other._den)
+
+    def inverse(self) -> Mat2:
+        m11, m12, m21, m22 = self.entries()
+        d = self.det()
+        if not (d > 0 or d < 0):  # NaN is singular too
+            raise SingularMatrixError("matrix has zero determinant")
+        return Mat2(m22 / d, -m12 / d, -m21 / d, m11 / d)
 
     def as_floats(self) -> tuple[float, float, float, float]:
-        return tuple(float(e) for e in self.entries())
+        if self._floats is None:  # the entries are immutable, so their floats are kept
+            self._floats = tuple(float(e) for e in self.entries())
+        return self._floats
 
     def to_json(self) -> list:
         """Row-major 4-element array; exact entries in the p/q+r/s*sqrt2 form."""
         return [str(e) if isinstance(e, Q2Scalar) else e for e in self.entries()]
 
     def apply_vector(self, x, y) -> tuple:
-        return (self.m11 * x + self.m12 * y, self.m21 * x + self.m22 * y)
+        m11, m12, m21, m22 = self.entries()
+        return (m11 * x + m12 * y, m21 * x + m22 * y)
+
+
+def _mat2(ints: tuple, den: int) -> Mat2:
+    """The exact matrix of the pairs `ints` over den > 0, in one-denominator form."""
+    g = math.gcd(den, *ints)
+    if g != 1:
+        ints, den = tuple(v // g for v in ints), den // g
+    m = object.__new__(Mat2)
+    m._ints, m._den, m._entries, m._floats = ints, den, None, None
+    return m
+
+
+def _act(ints: tuple, xp: int, xq: int, yp: int, yq: int) -> tuple[int, int, int, int]:
+    """The numerators of an exact matrix times the vector (xp + xq*sqrt(2), yp + yq*sqrt(2))."""
+    a, b, c, d, e, f, g, h = ints
+    r = RADICAND
+    return (a * xp + r * b * xq + c * yp + r * d * yq, a * xq + b * xp + c * yq + d * yp,
+            e * xp + r * f * xq + g * yp + r * h * yq, e * xq + f * xp + g * yq + h * yp)
 
 
 @dataclass(frozen=True)
@@ -329,19 +394,10 @@ def moebius_apply(m: Mat2, d: Direction) -> Direction:
     the sign of the image x coordinate distinguishes angle 0 from angle pi.
     """
     if isinstance(d, ExactDirection):
-        if not m.is_exact:
+        if m._ints is None:
             raise TypeError("exact direction needs a matrix with Q(sqrt 2) entries")
-        # the image (X, Y) = ((xp + xq sqrt2) / e, (yp + yq sqrt2) / f), e, f > 0
-        xp, xq, e = _dot(m.m11, d.x, m.m12, d.y)
-        yp, yq, f = _dot(m.m21, d.x, m.m22, d.y)
-        if yp == 0 and yq == 0:
-            sx = _sign(xp, xq)
-            if sx == 0:
-                raise ValueError("zero vector does not define a direction")
-            return ExactDirection.horizontal(sx > 0)
-        # mu = X / Y = f X conj(Y) / (e N(Y)), and _reduced makes the denominator positive
-        p, q = f * (xp * yp - 2 * xq * yq), f * (xq * yp - xp * yq)
-        return ExactDirection(_reduced(p, q, e * (yp * yp - 2 * yq * yq)), ONE)
+        # the numerators times a positive multiple of (x, y): the image, scaled by D x.d y.d
+        return _direction(*_act(m._ints, *_vector(d)))
     a, b, c, e = m.as_floats()
     vx, vy = math.cos(d.theta), math.sin(d.theta)
     wx, wy = a * vx + b * vy, c * vx + e * vy
@@ -349,6 +405,51 @@ def moebius_apply(m: Mat2, d: Direction) -> Direction:
         wx, wy = -wx, -wy
     t = math.atan2(wy, wx)
     return ApproxDirection(t if t >= 0 else t + math.pi)
+
+
+def moebius_chain(matrices, d: Direction) -> Direction:
+    """The direction moebius_apply gives for each matrix in turn, first to last.
+
+    An exact direction goes through the chain as one integer vector over
+    Z[sqrt 2], not normalized or reduced between matrices: each step only turns
+    it into the upper half plane (one exact sign), which keeps the sign of a
+    horizontal image as moebius_apply's normalized (+-1, 0) would.  It is
+    normalized and reduced once at the end.
+    """
+    if not isinstance(d, ExactDirection):
+        for m in matrices:
+            d = moebius_apply(m, d)
+        return d
+    xp, xq, yp, yq = _vector(d)
+    for m in matrices:
+        if m._ints is None:
+            raise TypeError("exact direction needs a matrix with Q(sqrt 2) entries")
+        xp, xq, yp, yq = _act(m._ints, xp, xq, yp, yq)
+        if _sign(yp, yq) < 0:
+            xp, xq, yp, yq = -xp, -xq, -yp, -yq
+    return _direction(xp, xq, yp, yq)
+
+
+def _vector(d: ExactDirection) -> tuple[int, int, int, int]:
+    """(x, y) scaled by x.d y.d > 0: a vector (xp + xq*sqrt(2), yp + yq*sqrt(2)) on ints."""
+    x, y = d.x, d.y
+    return x._p * y._d, x._q * y._d, y._p * x._d, y._q * x._d
+
+
+def _direction(xp: int, xq: int, yp: int, yq: int) -> ExactDirection:
+    """The direction of the vector (xp + xq*sqrt(2), yp + yq*sqrt(2)).
+
+    (x / y, 1), or (+-1, 0) by the sign of x.
+    """
+    if yp == 0 and yq == 0:
+        sx = _sign(xp, xq)
+        if sx == 0:
+            raise ValueError("zero vector does not define a direction")
+        return ExactDirection.horizontal(sx > 0)
+    # x / y = x conj(y) / N(y), and _reduced makes the denominator positive
+    r = RADICAND
+    mu = _reduced(xp * yp - r * xq * yq, xq * yp - xp * yq, yp * yp - r * yq * yq)
+    return ExactDirection(mu, ONE)
 
 
 def direction_theta(d: Direction) -> float:

@@ -23,6 +23,7 @@ from .exact_arith import (
     Mat2,
     direction_theta,
     moebius_apply,
+    moebius_chain,
 )
 from .polygon import (
     cot_half_sector,
@@ -189,15 +190,20 @@ def sector_interval(prefix: tuple[int, ...] | list[int], n: int = 4) -> SectorIn
 
     The innermost sector is pulled back through the inverse branches of the
     remaining entries; nesting under prefix extension is automatic because each
-    pullback lands inside its branch's sector.
+    pullback lands inside its branch's sector.  Exact ends are pulled back as
+    integer vectors (`moebius_chain`), normalized and ordered once.
     """
     prefix = tuple(prefix)
     _check_prefix(prefix, n)
     lo, hi = _sector_endpoints(prefix[-1], n)
-    for entry in reversed(prefix[:-1]):
-        inv = _inverse_branch(entry, n)
-        lo, hi = _order(moebius_apply(inv, lo), moebius_apply(inv, hi))
+    inverses = _inverse_branches(prefix[:-1], n)
+    lo, hi = _order(moebius_chain(inverses, lo), moebius_chain(inverses, hi))
     return SectorInterval(lo, hi, prefix, n)
+
+
+def _inverse_branches(entries: tuple[int, ...], n: int) -> list[Mat2]:
+    """The inverse branches of the entries, last entry first: the order they pull back in."""
+    return [_inverse_branch(entry, n) for entry in reversed(entries)]
 
 
 def fixed_point(tail: int, n: int) -> Direction:
@@ -224,9 +230,7 @@ def direction_from_expansion(exp: Expansion, depth: int) -> SectorInterval:
     if not exp.in_s_star:
         raise InvalidPrefixError(f"expansion {exp.entries} (tail {exp.tail}) not valid")
     if exp.tail is not None:
-        point = fixed_point(exp.tail, n)
-        for entry in reversed(exp.entries):
-            point = moebius_apply(_inverse_branch(entry, n), point)
+        point = moebius_chain(_inverse_branches(exp.entries, n), fixed_point(exp.tail, n))
         return SectorInterval(point, point, exp.prefix(depth), n)
     return sector_interval(exp.prefix(depth), n)
 

@@ -6,9 +6,32 @@ midpoint, toward the center).  One tracer follows this boundary map as an
 interval exchange T on the coordinate s transverse to the direction, over
 floats (a vertex hit is within epsilon of a vertex) or over exact Q(sqrt 2)
 coordinates for n in {2, 4} (a vertex hit is exact).  One crossing is one
-bisect, one append and one addition to s.  An exact period is an exact
-recurrence of s, found with one addition per crossing and no replay of the
-crossing points.
+bisect, one append and one addition to s.
+
+Exact runs hold s, the interval ends E_0 < ... < E_m and the shifts as
+integer pairs (P, Q) for (P + Q sqrt2) / D over one common denominator D, so a
+crossing adds two ints and s needs no gcd.  The bisect is filtered (Shewchuk
+1997; Broennimann, Burnikel and Pion 2001): it runs on float keys
+fl(P/D) + fl(fl(Q/D) * fl(sqrt2)), and the exact sign of a difference of pairs
+decides only when the key of s lies within the filter's bound of a
+neighbouring end's key.  The bound: a key rounds five times, so with u = 2^-53
+it lies within 2.01u|P|/D + 4.02u|Q|sqrt2/D <= 4.1u M/D of its value, where
+M = |P| + |Q| sqrt2.  The error grows with M, not with the value, because P and
+Q may be large and cancel; a fixed number of ulp would not do.  The filter
+tol = 8u (|P| + r|Q| + max over the ends of |P_e| + r|Q_e|) / D, with the
+integer r above sqrt2, covers the errors of a key and an end plus the
+roundings of tol and of their difference, so a key farther than tol from both
+neighbouring keys lies strictly between their ends.  bisect returns such
+neighbours, keys[j - 1] <= key < keys[j], even where rounding puts the keys of
+two close ends out of order.  The largest end is of the polygon's size, so tol
+is also far above the absolute error of a subnormal rounding, and s exactly on
+an end (a vertex) always lies within tol and is decided exactly.
+
+An exact period is the first exact return (P, Q) = (P0, Q0), found with one
+comparison per crossing.  The run stops there and tiles its path, word and
+crossing log up to the budget.  No vertex can be hit after that return: from
+it on, s runs through s_0, s_1, ... again, and each of those was located
+strictly inside an interval.
 
 Long float runs take K crossings per bisect, in a table of the power T^K (the
 symbolic side of Rauzy-Veech induction), built by doubling and used from 5000
@@ -30,10 +53,20 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 
-from .exact_arith import ONE, ZERO, Direction, ExactDirection, Q2Scalar, direction_theta
-from .polygon import LabeledPolygon
+from .exact_arith import (
+    ONE,
+    RADICAND,
+    SQRT2_FLOAT,
+    ZERO,
+    Direction,
+    ExactDirection,
+    Q2Scalar,
+    _over_one_denominator,
+    _sign,
+    direction_theta,
+)
+from .polygon import LabeledPolygon, _outward
 from .symbolic import CutseqError
 
 
@@ -86,12 +119,12 @@ def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) ->
     """
     sides = []
     for k in range(poly.side_count):
-        (ax, ay), (bx, by) = endpoints(k)
-        ex, ey = bx - ax, by - ay
-        # outward normal (-ey, ex) of a clockwise polygon; sides have unit length,
-        # so its product with the start offset is the start's distance outside
-        if not (px - ax) * -ey + (py - ay) * ex <= slack:  # NaN fails too
+        a, b = endpoints(k)
+        # sides have unit length, so the outward offset is the start's distance outside
+        if not _outward(px, py, a, b) <= slack:  # NaN fails too
             raise CutseqError(f"start point lies outside side {k} of the polygon")
+        (ax, ay), (bx, by) = a, b
+        ex, ey = bx - ax, by - ay
         sigma = ex * vy - ey * vx
         if sigma > zero:
             sides.append((ax, ay, ex, ey, -(ax + bx), -(ay + by), sigma, k))
@@ -99,18 +132,20 @@ def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) ->
 
 
 def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
-    """(word, path, shifts, replay): the ray as an interval exchange.
+    """(word, path, period, replay): the ray as an interval exchange.
 
     The exchange is built once (`_exchange`) and then iterated into the path,
-    the bisect index of each crossing: over Q(sqrt 2) one bisect per crossing
-    (`_steps`), over floats K crossings per lookup in a table of T^K
-    (`_iterate`).  The table's pieces keep a margin of 8(K + 2) ulp from every
-    s whose float orbit could leave them within K crossings, and each lookup
-    adds the piece's shifts to s one at a time, so the path and s are those of
-    the one-step loop, bit for bit (`_power_table`).  The word and the vertex
-    hit are read from the path; crossing i adds shifts[path[i]] to s.
-    `replay()` is `_replay` bound to the ray: it yields each crossing's side,
-    u and points, lazily, for whoever needs them.
+    the bisect index of each crossing: over Q(sqrt 2) on ints over one
+    denominator, up to the first exact return of s and tiled from there
+    (`_exact_steps`, which gives that return as `period`; None over floats),
+    over floats K crossings per lookup in a table of T^K (`_iterate`).  The
+    table's pieces keep a margin of 8(K + 2) ulp from every s whose float orbit
+    could leave them within K crossings, and each lookup adds the piece's
+    shifts to s one at a time, so the path and s are those of the one-step
+    loop, bit for bit (`_power_table`).  The word and the vertex hit are read
+    from the path; crossing i adds shifts[path[i]] to s.  `replay()` is
+    `_replay` bound to the ray: it yields each crossing's side, u and points,
+    lazily, for whoever needs them.
     """
     if cfg.mode == "exact":
         if not isinstance(d, ExactDirection):
@@ -127,17 +162,16 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
     bounds, shifts, codes = _exchange(sides, vx, vy, eps, zero, one, poly.letter)
     s0 = px * vy - py * vx
     if cfg.mode == "exact":
-        path = bytearray()
-        band = _steps(path, bounds, shifts, s0, cfg.max_crossings, _locate)[1]
+        path, band, period = _exact_steps(bounds, shifts, s0, cfg.max_crossings)
     else:
-        path, band = _iterate(bounds, shifts, s0, cfg.max_crossings)
+        (path, band), period = _iterate(bounds, shifts, s0, cfg.max_crossings), None
     replay = partial(_replay, path, sides, px, py, vx, vy, one)
     if band is not None:
         point = px, py  # the entry point after the path: the last one replayed
         for *_, point in replay():
             pass
         raise VertexHit(len(path), _vertex_side(point, sides, vx, vy, band, one))
-    return path.translate(codes).decode("ascii"), path, shifts, replay
+    return path.translate(codes).decode("ascii"), path, period, replay
 
 
 def _exchange(sides: list[tuple], vx, vy, eps, zero, one, letter) -> tuple[list, list, bytearray]:
@@ -163,13 +197,13 @@ def _exchange(sides: list[tuple], vx, vy, eps, zero, one, letter) -> tuple[list,
     return bounds, shifts, codes
 
 
-def _steps(path: bytearray, bounds: list, shifts: list, s, count: int, locate=bisect) -> tuple:
-    """`count` crossings, one bisect each, appended to path.
+def _steps(path: bytearray, bounds: list, shifts: list, s: float, count: int) -> tuple:
+    """`count` float crossings, one bisect each, appended to path.
 
     (s after them, None), or (s, the even bisect index of the band) at the first
     vertex hit, which is crossing len(path).
     """
-    add = path.append
+    add, locate = path.append, bisect
     for _ in range(count):
         i = locate(bounds, s)
         if not i & 1:
@@ -177,6 +211,68 @@ def _steps(path: bytearray, bounds: list, shifts: list, s, count: int, locate=bi
         add(i)
         s += shifts[i]
     return s, None
+
+
+# the exact bisect's float filter, 8 ulp of the scale M / D (module docstring)
+_FILTER = 8 * 2.0**-53
+_ROOT_CEIL = math.isqrt(RADICAND) + 1  # an integer above sqrt(RADICAND)
+
+
+def _exact_steps(bounds: list, shifts: list, s0: Q2Scalar, budget: int) -> tuple:
+    """(path, band, period) of `budget` exact crossings, on ints over one denominator.
+
+    With bands of width 0 the bounds are the interval ends (`bounds[::2]` and
+    `bounds[-1]`).  Each crossing takes the float bisect index unless the key
+    of s lies within the filter's bound of a neighbouring end's key (the module
+    docstring gives the bound), and then the exact one (`_exact_index`).  band
+    is the even index of the first vertex hit, at crossing len(path), or None.
+    period is the crossing of the first exact return of s, from which the path
+    is tiled up to the budget, or None.
+    """
+    ends = bounds[::2] + bounds[-1:]
+    m = len(ends) - 1
+    den, ints = _over_one_denominator([s0, *ends, *shifts])
+    p0, q0 = ints[0], ints[1]
+    end_ps, end_qs = ints[2:2 * m + 4:2], ints[3:2 * m + 4:2]
+    shift_ps, shift_qs = ints[2 * m + 4::2], ints[2 * m + 5::2]
+    r = _ROOT_CEIL
+    end_scale = max(abs(p) + r * abs(q) for p, q in zip(end_ps, end_qs))
+    # keys[j - 1] <= key < keys[j]: below E_0 (index 0), in interval j - 2, or from E_m on
+    keys = [-math.inf, *(p / den + q / den * SQRT2_FLOAT for p, q in zip(end_ps, end_qs)),
+            math.inf]
+    slots = [0, 0, *range(1, 2 * m, 2), 2 * m]
+    path = bytearray()
+    add = path.append
+    p, q = p0, q0
+    for crossing in range(1, budget + 1):
+        key = p / den + q / den * SQRT2_FLOAT
+        j = bisect(keys, key)
+        tol = (abs(p) + r * abs(q) + end_scale) / den * _FILTER
+        if key - keys[j - 1] <= tol or keys[j] - key <= tol:
+            i = _exact_index(p, q, end_ps, end_qs)
+        else:
+            i = slots[j]
+        if not i & 1:
+            return path, i, None
+        add(i)
+        p += shift_ps[i]
+        q += shift_qs[i]
+        if p == p0 and q == q0:
+            return (path * -(-budget // crossing))[:budget], None, crossing
+    return path, None, None
+
+
+def _exact_index(p: int, q: int, end_ps: list, end_qs: list) -> int:
+    """The bisect index of s = (p + q sqrt2) / D among the ends, where s on an end is a vertex.
+
+    2j - 1 strictly inside interval j - 1, 2j on the end E_j (a vertex), 0
+    below E_0 and 2m above E_m: what a bisect over bands of width 0 gives.
+    """
+    for j, (end_p, end_q) in enumerate(zip(end_ps, end_qs)):
+        sign = _sign(p - end_p, q - end_q)
+        if sign <= 0:
+            return 2 * j - 1 if sign and j else 2 * j
+    return 2 * (len(end_ps) - 1)
 
 
 # K by budget.  Building T^K costs 0.16-0.31 ms at K = 16 and 0.7-1.0 ms at 64,
@@ -268,12 +364,6 @@ def _power_table(bounds: list, shifts: list, k: int) -> tuple[list, list] | None
     return edges, pieces
 
 
-def _locate(bounds: list, s) -> int:
-    """bisect for bands of width 0, where s == S_j (index 2j + 1) is a vertex too."""
-    i = bisect(bounds, s)
-    return i - 1 if i & 1 and s == bounds[i - 1] else i
-
-
 def _replay(path: bytearray, sides: list[tuple], px, py, vx, vy, one):
     """(bisect index, side, u, exit point, entry point) per crossing, lazily.
 
@@ -304,10 +394,12 @@ def _vertex_side(point: tuple, sides: list[tuple], vx, vy, i: int, one) -> int:
 
 def trace(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple[str, TraceLog]:
     """Cutting sequence of max_crossings crossings, with the full crossing log."""
-    word, _, _, replay = _run(poly, start, d, cfg)
-    # the log holds float points
+    word, _, period, replay = _run(poly, start, d, cfg)
+    # the log holds float points; an exact one repeats from its first return
     crossings = [Crossing(letter, (float(x), float(y)), k)
-                 for letter, (_, k, _, (x, y), _) in zip(word, replay())]
+                 for letter, (_, k, _, (x, y), _) in zip(word[:period], replay())]
+    if period is not None:
+        crossings = (crossings * -(-len(word) // period))[:len(word)]
     return word, TraceLog(d, tuple(start), crossings)
 
 
@@ -322,15 +414,14 @@ def detect_period(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -
     The boundary map is invertible, so a periodic orbit returns exactly to its
     first boundary state.  Floating states (side, u) recur within epsilon; they
     are replayed up to the first recurrence only.  An exact state is fixed by
-    the transverse coordinate s, and s_m == s_0 exactly when the shifts of the
-    first m crossings sum to zero, so an exact period replays no crossing
-    point.  Either way the whole run is traced first, so a vertex hit within
-    max_crossings still raises.
+    the transverse coordinate s, and the exact run stops at the first exact
+    return s_m == s_0 (`_exact_steps`), so an exact period replays no crossing
+    point.  The run is traced up to max_crossings or that return, after which
+    no vertex can be met, so a vertex hit within max_crossings still raises.
     """
-    _, path, shifts, replay = _run(poly, start, d, cfg)
+    _, _, period, replay = _run(poly, start, d, cfg)
     if cfg.mode == "exact":
-        totals = accumulate(shifts[i] for i in path[:-1])
-        return next((m for m, total in enumerate(totals, 1) if total == ZERO), None)
+        return period if period is not None and period < cfg.max_crossings else None
     states = ((k, u) for _, k, u, _, _ in replay())
     side0, u0 = next(states)
     eps = cfg.epsilon

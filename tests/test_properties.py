@@ -4,9 +4,11 @@ references, periodic words built from every rotation against the canonical one,
 renormalization against the route that derives each level twice, generation
 against the pair-by-pair join, the text memo against the unmemoized kernels,
 the order of exact directions against their angle keys, the Moebius action as a
-homomorphism and on integers against scalar-by-scalar references, the float
-tracer's table of T^K against the one-step loop, and the text round trips of
-scalars and words."""
+homomorphism and on integers against scalar-by-scalar references, the
+one-denominator matrix against one scalar per entry, the integer pullbacks of
+sector intervals and expansions against one Moebius step per entry, the float
+tracer's table of T^K against the one-step loop, the tiled exact tracer against
+one exact bisect per crossing, and the text round trips of scalars and words."""
 
 import math
 import random
@@ -41,7 +43,15 @@ from cutseq.exact_arith import (
     SingularMatrixError,
     moebius_apply,
 )
-from cutseq.farey import _order, farey_branch
+from cutseq.farey import (
+    Expansion,
+    _order,
+    _sector_endpoints,
+    direction_from_expansion,
+    farey_branch,
+    fixed_point,
+    sector_interval,
+)
 from cutseq.generation import _insertions, generate
 from cutseq.polygon import build_polygon, isometry_nu
 from cutseq.symbolic import (
@@ -1198,3 +1208,191 @@ def test_factor_counts_upto_matches_naive_reference(data):
     if data.draw(st.booleans()):
         w = "".join(rng.choice(letters_for(poly.n)) for _ in range(length))
     assert factor_counts_upto(w, top) == naive_factor_counts(w, top)
+
+
+# -- one-denominator matrices and integer pullbacks against per-entry references ----
+
+
+class EntryMat2:
+    """The exact matrix one reduced Q2Scalar per entry, every operation entry by entry."""
+
+    def __init__(self, *entries):
+        self.entries = tuple(entries)
+
+    def __matmul__(self, other):
+        a, b, c, d = self.entries
+        e, f, g, h = other.entries
+        return EntryMat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def det(self):
+        a, b, c, d = self.entries
+        return a * d - b * c
+
+    def inverse(self):
+        a, b, c, d = self.entries
+        det = self.det()
+        return EntryMat2(d / det, -b / det, -c / det, a / det)
+
+    def __repr__(self):
+        return "Mat2(m11={!r}, m12={!r}, m21={!r}, m22={!r})".format(*self.entries)
+
+
+def assert_same_matrix(got, ref):
+    """got, a Mat2, holds ref's entries, in their text, float, JSON and repr forms."""
+    assert got.is_exact
+    assert got.entries() == ref.entries
+    assert (got.m11, got.m12, got.m21, got.m22) == ref.entries
+    assert [repr(x) for x in got.entries()] == [repr(x) for x in ref.entries]
+    assert repr(got) == repr(ref)
+    assert got.to_json() == [str(x) for x in ref.entries]
+    assert [f.hex() for f in got.as_floats()] == [float(x).hex() for x in ref.entries]
+    # the same matrix built from its entries anew is equal, with the same hash
+    again = Mat2(*ref.entries)
+    assert got == again and hash(got) == hash(again)
+
+
+@FAST
+@given(st.lists(big_scalars(), min_size=8, max_size=8), st.integers(-3, 3))
+@example([ONE, ZERO, ZERO, ONE] * 2, 1)
+@example([Q2Scalar(0, Fraction(1, 2)), Q2Scalar(Fraction(1, 3)), Q2Scalar(Fraction(2, 3)),
+          Q2Scalar(0, 1)] * 2, 0)
+def test_one_denominator_mat2_matches_per_entry_reference(scalars, k):
+    a, b = Mat2(*scalars[:4]), Mat2(*scalars[4:])
+    ra, rb = EntryMat2(*scalars[:4]), EntryMat2(*scalars[4:])
+    assert_same_matrix(a, ra)
+    assert_same_matrix(b, rb)
+    assert (a == b) == (ra.entries == rb.entries)
+    assert a.det() == ra.det() and repr(a.det()) == repr(ra.det())
+    for x, y, rx, ry in ((a, b, ra, rb), (b, a, rb, ra), (a, a, ra, ra)):
+        assert_same_matrix(x @ y, rx @ ry)
+    # a row k times the other is singular
+    m11, m12, _, _ = scalars[:4]
+    singular = Mat2(m11, m12, k * m11, k * m12)
+    with pytest.raises(SingularMatrixError):
+        singular.inverse()
+    for x, rx in ((a, ra), (b, rb), (a @ b, ra @ rb)):
+        if rx.det().is_zero():
+            with pytest.raises(SingularMatrixError):
+                x.inverse()
+        else:
+            assert_same_matrix(x.inverse(), rx.inverse())
+
+
+def stepwise_pullback(entries, point, n):
+    """point pulled back through the inverse branches, one moebius_apply per entry."""
+    for entry in reversed(entries):
+        point = moebius_apply(farey_branch(entry, n).matrix.inverse(), point)
+    return point
+
+
+def stepwise_sector_interval(prefix, n):
+    """The innermost sector's ends pulled back and ordered one branch at a time."""
+    lo, hi = _sector_endpoints(prefix[-1], n)
+    for entry in reversed(prefix[:-1]):
+        inv = farey_branch(entry, n).matrix.inverse()
+        lo, hi = _order(moebius_apply(inv, lo), moebius_apply(inv, hi))
+    return lo, hi
+
+
+@st.composite
+def expansion_entries(draw):
+    """(n, entries) in S*: depth 1-60, the horizontal ends 0 and 2n - 1 drawn often first."""
+    n = draw(st.sampled_from((2, 4)))
+    top = 2 * n - 1
+    first = draw(st.one_of(st.sampled_from((0, top)), st.integers(0, top)))
+    rest = draw(st.lists(st.integers(1, top), max_size=59))
+    return n, (first, *rest)
+
+
+@FAST
+@given(expansion_entries())
+@example((4, (0,) + (7,) * 59))
+@example((4, (7,) + (1,) * 59))
+@example((2, (0, 3, 1, 2)))
+def test_integer_pullbacks_match_stepwise_moebius(case):
+    n, prefix = case
+    iv = sector_interval(prefix, n)
+    lo, hi = stepwise_sector_interval(prefix, n)
+    assert (iv.lo, iv.hi) == (lo, hi)
+    assert (repr(iv.lo), repr(iv.hi)) == (repr(lo), repr(hi))
+    for tail in (1, 2 * n - 1):
+        point = stepwise_pullback(prefix, fixed_point(tail, n), n)
+        got = direction_from_expansion(Expansion(n, prefix, tail), len(prefix) + 3)
+        assert got.lo == got.hi == point and repr(got.lo) == repr(point)
+
+
+# -- the tiled exact tracer against the per-crossing one --------------------------------
+
+
+def locate_reference(bounds, s):
+    """bisect for bands of width 0, where s == S_j (index 2j + 1) is a vertex too."""
+    i = bisect(bounds, s)
+    return i - 1 if i & 1 and s == bounds[i - 1] else i
+
+
+def per_crossing_exact_run(poly, start, d, budget):
+    """The exact run one Q2Scalar bisect per crossing over the whole budget, every
+    crossing replayed, the period where the shifts first sum to zero: (word, log
+    points, period), or ("vertex", crossing, side)."""
+    vx, vy = d.x, d.y
+    px, py = ZERO + start[0], ZERO + start[1]
+    sides = tracer._exit_sides(poly, poly.exact_side_endpoints, px, py, vx, vy, ZERO, ZERO)
+    bounds, shifts, codes = tracer._exchange(sides, vx, vy, ZERO, ZERO, ONE, poly.letter)
+    s = px * vy - py * vx
+    path = bytearray()
+    for _ in range(budget):
+        i = locate_reference(bounds, s)
+        if not i & 1:
+            point = px, py
+            for *_, point in tracer._replay(path, sides, px, py, vx, vy, ONE):
+                pass
+            return "vertex", len(path), tracer._vertex_side(point, sides, vx, vy, i, ONE)
+        path.append(i)
+        s += shifts[i]
+    log = [((float(x), float(y)), k)
+           for _, k, _, (x, y), _ in tracer._replay(path, sides, px, py, vx, vy, ONE)]
+    total, period = ZERO, None
+    for m, i in enumerate(path[:-1], 1):
+        total += shifts[i]
+        if total == ZERO:
+            period = m
+            break
+    return path.translate(codes).decode("ascii"), log, period
+
+
+def tiled_exact_run(poly, start, d, budget):
+    cfg = TraceConfig(max_crossings=budget, mode="exact")
+    try:
+        word = trace_word(poly, start, d, cfg)
+    except VertexHit as hit:
+        return "vertex", hit.crossing, hit.side
+    got, log = trace(poly, start, d, cfg)
+    assert got == word
+    return word, [(c.point, c.side) for c in log.crossings], detect_period(poly, start, d, cfg)
+
+
+@FAST
+@given(exact_rays(), st.integers(1, 400))
+def test_tiled_exact_tracer_matches_per_crossing_reference(ray, budget):
+    """Words, logs, periods and vertex hits, on budgets that end mid-period or after
+    several periods, over the square and the octagon, rays aimed at vertices too."""
+    poly, start, d, _ = ray
+    assert tiled_exact_run(poly, start, d, budget) == per_crossing_exact_run(poly, start, d, budget)
+
+
+@pytest.mark.parametrize("n, mu, start, budget", [
+    # period 2086: the budget ends mid-way through the second period
+    (4, "1/3+1/2*sqrt2", ("1/10", "1/7"), 3000),
+    # period 16, tiled 12 times and a half
+    (4, "2+1*sqrt2", ("1/10", "1/7"), 200),
+    # aimed from the center at vertex 0: a hit at crossing 0
+    (4, "-1+1*sqrt2", ("0", "0"), 50),
+    # the square: a vertex hit at crossing 3, and a ray of period 4 over 77 crossings
+    (2, "2/3", ("-1/4", "-1/8"), 50),
+    (2, "1/3", ("1/10", "1/7"), 77),
+], ids=str)
+def test_tiled_exact_tracer_matches_per_crossing_reference_on_named_rays(n, mu, start, budget):
+    poly = build_polygon(n)
+    d = ExactDirection.from_cot(Q2Scalar.parse(mu))
+    start = tuple(Q2Scalar.parse(v) for v in start)
+    assert tiled_exact_run(poly, start, d, budget) == per_crossing_exact_run(poly, start, d, budget)

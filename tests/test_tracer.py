@@ -1,7 +1,9 @@
 import math
 import random
 import xml.etree.ElementTree as ET
+from bisect import bisect
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -9,6 +11,7 @@ from cutseq.exact_arith import ApproxDirection, ExactDirection, Q2Scalar
 from cutseq.farey import farey_apply
 from cutseq.polygon import build_polygon, sector_of
 from cutseq.symbolic import CutseqError, build_diagram, factor_set
+from cutseq import tracer
 from cutseq.tracer import (
     TraceConfig,
     VertexHit,
@@ -173,6 +176,54 @@ def test_exact_period_raises_a_vertex_hit_within_the_budget():
         with pytest.raises(VertexHit) as hit:
             detect_period(square, start, d, TraceConfig(max_crossings=budget, mode="exact"))
         assert (hit.value.crossing, hit.value.side) == (3, 0)
+
+
+# two intervals [0, 1) and [1, 1 + sqrt2), exchanged: a rotation by sqrt2 mod 1 + sqrt2
+_ENDS = (q2(0), q2(1), q2(1, 1))
+_BOUNDS = [_ENDS[0], _ENDS[1], _ENDS[1], _ENDS[2]]
+_SHIFTS = [q2(0), q2(0, 1), q2(0), q2(-1), q2(0)]
+
+
+def _one_bisect_per_crossing(s, budget):
+    """The exchange above over Q2Scalar, one bisect per crossing: (path, vertex band)."""
+    path = bytearray()
+    for _ in range(budget):
+        i = bisect(_BOUNDS, s)
+        if i & 1 and s == _BOUNDS[i - 1]:
+            return path, i - 1
+        if not i & 1:
+            return path, i
+        path.append(i)
+        s += _SHIFTS[i]
+    return path, None
+
+
+def test_exact_filter_decides_ties_and_near_ties_exactly():
+    # (sqrt2 - 1)^41 is about 2e-16, within one ulp of the end 1, and its ints
+    # are about 10^15 and cancel; over 7 it also brings a denominator
+    tiny = q2(1)
+    for _ in range(41):
+        tiny = tiny * q2(-1, 1)
+    assert q2(0) < tiny < q2(Fraction(1, 2**52)) and abs(tiny.a) > 10**15
+    cases = [(q2(1), (bytearray(), 2)), (q2(0), (bytearray(), 0)), (q2(1, 1), (bytearray(), 4)),
+             (q2(1) + tiny / 7, None), (q2(1) - tiny / 7, None), (tiny / 7, None)]
+    for s0, want in cases:
+        ref = _one_bisect_per_crossing(s0, 30)
+        if want is not None:
+            assert ref == want
+        with mock.patch.object(tracer, "_exact_index", wraps=tracer._exact_index) as exact:
+            path, band, period = tracer._exact_steps(_BOUNDS, _SHIFTS, s0, 30)
+        assert (path, band) == ref and period is None
+        assert exact.called  # the first key lies within the filter's bound of an end
+    # just above the end 1: interval 1 (index 3); just below: interval 0 (index 1)
+    assert tracer._exact_steps(_BOUNDS, _SHIFTS, q2(1) + tiny / 7, 1)[0] == bytearray([3])
+    assert tracer._exact_steps(_BOUNDS, _SHIFTS, q2(1) - tiny / 7, 1)[0] == bytearray([1])
+
+
+def test_exact_filter_leaves_keys_far_from_every_end_to_floats():
+    with mock.patch.object(tracer, "_exact_index", wraps=tracer._exact_index) as exact:
+        path, band, period = tracer._exact_steps(_BOUNDS, _SHIFTS, q2(Fraction(1, 2)), 1)
+    assert (path, band, period) == (bytearray([1]), None, None) and not exact.called
 
 
 def test_generic_direction_has_no_short_recurrence():
