@@ -14,18 +14,15 @@ other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import random
 import sys
 
-from . import __version__
-from .exact_arith import ApproxDirection, Direction, ExactDirection, Q2Scalar, direction_theta
-from .farey import is_terminating, itinerary, sector_interval
-from .generation import build_family, enumerate_factors, generate, periodic_seeds
-from .coherence import check_coherent, recognize_direction, renormalize
-from .polygon import build_polygon
+# the package is lazy: names other than symbolic's are read from it when a
+# subcommand calls them, so each subcommand loads only its layers, and --help none
+import cutseq
+
 from .symbolic import (
     CutseqError,
     InadmissibleWordError,
@@ -35,14 +32,6 @@ from .symbolic import (
     format_word,
     is_exhausted,
     parse_word,
-)
-from .tracer import (
-    TraceConfig,
-    plot_svg,
-    random_exact_interior_point,
-    random_interior_point,
-    trace,
-    trace_word,
 )
 
 
@@ -85,19 +74,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_direction(args) -> Direction:
+def _parse_direction(args) -> cutseq.Direction:
     theta, cot = args.theta, args.cot
     if (theta is None) == (cot is None):
         raise UsageError("give exactly one of --theta or --cot")
     if cot is not None:
-        return ExactDirection.from_cot(_parse_flag("--cot", cot, Q2Scalar.parse))
+        return cutseq.ExactDirection.from_cot(_parse_flag("--cot", cot, cutseq.Q2Scalar.parse))
     # an angle outside [0, pi] is malformed flag text like any other
-    return _parse_flag("--theta", theta, lambda t: ApproxDirection(_parse_angle(t)))
+    return _parse_flag("--theta", theta, lambda t: cutseq.ApproxDirection(_parse_angle(t)))
 
 
-def _direction_json(d: Direction) -> dict:
-    out = {"theta": direction_theta(d)}
-    if isinstance(d, ExactDirection):
+def _direction_json(d: cutseq.Direction) -> dict:
+    out = {"theta": cutseq.direction_theta(d)}
+    if isinstance(d, cutseq.ExactDirection):
         out["cot"] = None if d.is_horizontal else str(d.mu())
         out["horizontal_sign"] = d.x.sign() if d.is_horizontal else None
     return out
@@ -110,7 +99,10 @@ def _interval_json(iv) -> dict:
 
 def _emit(payload: dict, args) -> None:
     # resolved before the flags are recorded, so the flags alone replay the run
-    args.timestamp = args.timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat()
+    if not args.timestamp:
+        import datetime  # only a run without --timestamp reads the clock
+
+        args.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     flags = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command") and v is not None
     }
@@ -118,7 +110,7 @@ def _emit(payload: dict, args) -> None:
         "command": args.command,
         "flags": flags,
         "seed": args.seed,
-        "version": __version__,
+        "version": cutseq.__version__,
         "timestamp": args.timestamp,
     }
     doc = {"schema": f"cutseq/{args.command}/1", "manifest": manifest}
@@ -134,23 +126,23 @@ def _trace_setup(args, poly, exact: bool = False):
     d = _parse_direction(args)
     rng = random.Random(args.seed)
     if args.start:
-        scalar = Q2Scalar.parse if exact else float
+        scalar = cutseq.Q2Scalar.parse if exact else float
         start = _parse_flag("--start", args.start, lambda t: _parse_point(t, scalar))
     elif exact:
-        start = random_exact_interior_point(poly, rng)
+        start = cutseq.random_exact_interior_point(poly, rng)
     else:
-        start = random_interior_point(poly, rng)
+        start = cutseq.random_interior_point(poly, rng)
     start_json = [str(v) for v in start] if exact else list(start)
-    cfg = TraceConfig(
+    cfg = cutseq.TraceConfig(
         epsilon=args.epsilon, max_crossings=args.crossings, mode="exact" if exact else "approx"
     )
     return d, start, start_json, cfg
 
 
 def _cmd_trace(args) -> dict:
-    poly = build_polygon(args.n)
+    poly = cutseq.build_polygon(args.n)
     d, start, start_json, cfg = _trace_setup(args, poly, args.exact)
-    word, log = trace(poly, start, d, cfg)
+    word, log = cutseq.trace(poly, start, d, cfg)
     return {
         "direction": _direction_json(d),
         "start": start_json,
@@ -163,13 +155,15 @@ def _cmd_trace(args) -> dict:
 
 
 def _cmd_plot(args) -> None:
-    poly = build_polygon(args.n)
+    poly = cutseq.build_polygon(args.n)
     d, start, _, cfg = _trace_setup(args, poly)
-    _, log = trace(poly, start, d, cfg)
-    sys.stdout.write(plot_svg(log, poly) + "\n")
+    _, log = cutseq.trace(poly, start, d, cfg)
+    sys.stdout.write(cutseq.plot_svg(log, poly) + "\n")
 
 
 def _cmd_derive(args) -> dict:
+    if args.times < 0:
+        raise UsageError(f"argument --times: must be >= 0, got {args.times}")
     w = parse_word(args.word, args.n)
     out = w
     exhausted_at = None
@@ -208,7 +202,7 @@ def _cmd_recognize(args) -> dict:
         except OSError as exc:
             raise UsageError(f"argument --word-file: {exc.strerror}: {args.word_file!r}") from None
     w = parse_word(text, args.n)
-    iv = recognize_direction(w, args.depth, args.n)
+    iv = cutseq.recognize_direction(w, args.depth, args.n)
     payload = {"diagrams": list(iv.prefix)}
     payload.update(_interval_json(iv))
     return payload
@@ -216,9 +210,9 @@ def _cmd_recognize(args) -> dict:
 
 def _cmd_expand(args) -> dict:
     d = _parse_direction(args)
-    seq = itinerary(d, args.n, args.depth)
-    iv = sector_interval(seq, args.n)
-    term = is_terminating(d, args.n, max(args.depth, 10))
+    seq = cutseq.itinerary(d, args.n, args.depth)
+    iv = cutseq.sector_interval(seq, args.n)
+    term = cutseq.is_terminating(d, args.n, max(args.depth, 10))
     payload = {
         "itinerary": list(seq),
         "terminating": term.terminating,
@@ -230,11 +224,11 @@ def _cmd_expand(args) -> dict:
 
 def _cmd_generate(args) -> dict:
     w = parse_word(args.word, args.n)
-    return {"generated": format_word(generate(args.src, args.dst, w, args.n), args.n)}
+    return {"generated": format_word(cutseq.generate(args.src, args.dst, w, args.n), args.n)}
 
 
 def _cmd_seeds(args) -> dict:
-    return {"seeds": sorted(format_word(w, args.n) for w in periodic_seeds(args.k, args.n))}
+    return {"seeds": sorted(format_word(w, args.n) for w in cutseq.periodic_seeds(args.k, args.n))}
 
 
 def _cmd_families(args) -> dict:
@@ -242,7 +236,7 @@ def _cmd_families(args) -> dict:
     seeds = None
     if args.seeds != "periodic":
         seeds = [parse_word(t, args.n) for t in args.seeds.split(",")]
-    fam = build_family(prefix, seeds, args.n)
+    fam = cutseq.build_family(prefix, seeds, args.n)
     return {"prefix": list(prefix), "words": sorted(format_word(w, args.n) for w in fam)}
 
 
@@ -253,7 +247,7 @@ def _cmd_enumerate(args) -> dict:
         source = _parse_flag("--prefix", args.prefix, _parse_ints)
     else:
         raise UsageError("give exactly one of --prefix, --theta or --cot")
-    factors = enumerate_factors(source, args.len, args.depth, args.n)
+    factors = cutseq.enumerate_factors(source, args.len, args.depth, args.n)
     return {"length": args.len, "count": len(factors), "factors": sorted(factors)}
 
 
@@ -264,17 +258,17 @@ def _cmd_check_coherence(args) -> dict:
     explicit = args.i is not None
     steps = []
     if args.depth != 0 or not explicit:  # only --depth 0 with a pair asks for no chain
-        tr = renormalize(w, args.depth + 1, args.n, start_diagram=args.start_diagram)
+        tr = cutseq.renormalize(w, args.depth + 1, args.n, start_diagram=args.start_diagram)
         if tr.failure is not None and tr.depth < 2:
             raise InadmissibleWordError(f"renormalization failed: {tr.failure}")
         for k in range(min(args.depth, tr.depth - 1)):
             i, j = tr.steps[k].diagram, tr.steps[k + 1].diagram
-            verdict = check_coherent(tr.steps[k].word, i, j, args.n)
+            verdict = cutseq.check_coherent(tr.steps[k].word, i, j, args.n)
             steps.append(
                 {"step": k, "i": i, "j": j, "accepted": verdict.accepted, "failed": verdict.failed}
             )
     if explicit:
-        verdict = check_coherent(w, args.i, args.j, args.n)
+        verdict = cutseq.check_coherent(w, args.i, args.j, args.n)
         steps.insert(
             0,
             {"step": "explicit", "i": args.i, "j": args.j, "accepted": verdict.accepted,
@@ -286,12 +280,12 @@ def _cmd_check_coherence(args) -> dict:
 
 
 def _cmd_complexity(args) -> dict:
-    poly = build_polygon(args.n)
+    poly = cutseq.build_polygon(args.n)
     d = _parse_direction(args)
     rng = random.Random(args.seed)
-    start = random_interior_point(poly, rng)
-    cfg = TraceConfig(max_crossings=args.crossings)
-    word = trace_word(poly, start, d, cfg)
+    start = cutseq.random_interior_point(poly, rng)
+    cfg = cutseq.TraceConfig(max_crossings=args.crossings)
+    word = cutseq.trace_word(poly, start, d, cfg)
     counts = factor_counts_upto(word, args.len)
     return {
         "crossings": args.crossings,

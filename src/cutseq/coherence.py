@@ -21,8 +21,6 @@ the previous level derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .farey import SectorInterval, sector_interval
 from .generation import _generate_admitted, _insertions, sandwich_group
 from .symbolic import (
@@ -30,8 +28,10 @@ from .symbolic import (
     CutseqError,
     InadmissibleWordError,
     PeriodicWord,
+    Record,
     Wordlike,
     _held,
+    _setfield,
     admissible_diagrams,
     build_diagram,
     derive,
@@ -65,11 +65,13 @@ def fitting_groups(profile: dict[str, frozenset[str]], n: int) -> tuple[int, ...
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CoherenceVerdict:
-    accepted: bool
-    failed: str | None = None  # "C0" | "C1" | "C2" | "C3"
-    groups: tuple[int, ...] = ()
+class CoherenceVerdict(Record):
+    __slots__ = _fields = ("accepted", "failed", "groups")
+
+    def __init__(self, accepted: bool, failed: str | None = None, groups: tuple[int, ...] = ()):
+        _setfield(self, "accepted", accepted)
+        _setfield(self, "failed", failed)  # "C0" | "C1" | "C2" | "C3"
+        _setfield(self, "groups", groups)
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -157,20 +159,28 @@ def decompose_generation(w: Wordlike, i: int, n: int = 4) -> tuple[int, Wordlike
 # -- renormalization -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RenormalizationStep:
-    word: Wordlike
-    diagram: int
-    normalized: Wordlike
+class RenormalizationStep(Record):
+    __slots__ = _fields = ("word", "diagram", "normalized")
+
+    def __init__(self, word: Wordlike, diagram: int, normalized: Wordlike) -> None:
+        _setfield(self, "word", word)
+        _setfield(self, "diagram", diagram)
+        _setfield(self, "normalized", normalized)
 
 
-@dataclass
-class RenormalizationTrace:
-    steps: list[RenormalizationStep] = field(default_factory=list)
-    failure: str | None = None  # "inadmissible" | "ambiguous" | "window_exhausted"
-    ambiguous_set: tuple[int, ...] = ()
-    tail: int | None = None
-    split: tuple[int, tuple[int, ...]] | None = None  # (step, candidate pair)
+class RenormalizationTrace(Record):
+    __slots__ = _fields = ("steps", "failure", "ambiguous_set", "tail", "split")
+    # mutable: assignable, deletable and unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, steps: list[RenormalizationStep] | None = None, failure: str | None = None,
+                 ambiguous_set: tuple[int, ...] = (), tail: int | None = None,
+                 split: tuple[int, tuple[int, ...]] | None = None) -> None:
+        self.steps = [] if steps is None else steps
+        self.failure = failure  # "inadmissible" | "ambiguous" | "window_exhausted"
+        self.ambiguous_set = ambiguous_set
+        self.tail = tail
+        self.split = split  # (step, candidate pair)
 
     @property
     def diagrams(self) -> tuple[int, ...]:

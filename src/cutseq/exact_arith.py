@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .symbolic import Record, _setfield
 
 # the square-free d of the field Q(sqrt d); every product, norm and sign below reads it
 RADICAND = 2
@@ -322,16 +323,18 @@ def _act(ints: tuple, xp: int, xq: int, yp: int, yq: int) -> tuple[int, int, int
             e * xp + r * f * xq + g * yp + r * h * yq, e * xq + f * xp + g * yq + h * yp)
 
 
-@dataclass(frozen=True)
-class ExactDirection:
+class ExactDirection(Record):
     """Exact projective direction, normalized to (mu, 1) or to (+-1, 0).
 
     The horizontal cases keep the sign of x so that the angle 0 (x = +1) stays
     distinct from the angle pi (x = -1); projectively they are the same point.
     """
 
-    x: Q2Scalar
-    y: Q2Scalar
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: Q2Scalar, y: Q2Scalar) -> None:
+        _setfield(self, "x", x)
+        _setfield(self, "y", y)
 
     @classmethod
     def from_cot(cls, mu: Q2Scalar | int | Fraction) -> ExactDirection:
@@ -365,15 +368,15 @@ class ExactDirection:
         return (1, -self.x)
 
 
-@dataclass(frozen=True)
-class ApproxDirection:
+class ApproxDirection(Record):
     """Floating direction, an angle in [0, pi]."""
 
-    theta: float
+    __slots__ = _fields = ("theta",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"angle {self.theta} outside [0, pi]")
+    def __init__(self, theta: float) -> None:
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"angle {theta} outside [0, pi]")
+        _setfield(self, "theta", theta)
 
     def angle_key(self):
         return (1, self.theta)

@@ -13,7 +13,6 @@ are the terminating directions, whose trajectories are periodic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact_arith import (
@@ -33,19 +32,21 @@ from .polygon import (
     sector_of,
     veech_elements,
 )
-from .symbolic import CutseqError, check_sector
+from .symbolic import CutseqError, Record, _setfield, check_sector
 
 
 class InvalidPrefixError(CutseqError):
     """An expansion prefix violating the admissible-entry constraints."""
 
 
-@dataclass(frozen=True)
-class FareyBranch:
+class FareyBranch(Record):
     """One branch: sector index and acting matrix."""
 
-    sector: int
-    matrix: Mat2
+    __slots__ = _fields = ("sector", "matrix")
+
+    def __init__(self, sector: int, matrix: Mat2) -> None:
+        _setfield(self, "sector", sector)
+        _setfield(self, "matrix", matrix)
 
 
 @lru_cache(maxsize=None)
@@ -76,21 +77,21 @@ def itinerary(d: Direction, n: int, depth: int) -> tuple[int, ...]:
 # -- expansions ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """An additive continued fraction expansion: entries plus an optional constant tail.
 
     tail, when set, must be 1 or 2n-1 and means the entries continue with that
     value forever.
     """
 
-    n: int
-    entries: tuple[int, ...]
-    tail: int | None = None
+    __slots__ = _fields = ("n", "entries", "tail")
 
-    def __post_init__(self) -> None:
-        if self.tail is not None and self.tail not in (1, 2 * self.n - 1):
-            raise CutseqError(f"constant tail must be 1 or {2 * self.n - 1}")
+    def __init__(self, n: int, entries: tuple[int, ...], tail: int | None = None) -> None:
+        if tail is not None and tail not in (1, 2 * n - 1):
+            raise CutseqError(f"constant tail must be 1 or {2 * n - 1}")
+        _setfield(self, "n", n)
+        _setfield(self, "entries", entries)
+        _setfield(self, "tail", tail)
 
     @property
     def in_s_star(self) -> bool:
@@ -148,14 +149,16 @@ def _sector_endpoints(i: int, n: int) -> tuple[Direction, Direction]:
     return ApproxDirection(i * step), ApproxDirection(min((i + 1) * step, math.pi))
 
 
-@dataclass(frozen=True)
-class SectorInterval:
+class SectorInterval(Record):
     """Closed interval of directions cut out by an expansion prefix."""
 
-    lo: Direction
-    hi: Direction
-    prefix: tuple[int, ...]
-    n: int
+    __slots__ = _fields = ("lo", "hi", "prefix", "n")
+
+    def __init__(self, lo: Direction, hi: Direction, prefix: tuple[int, ...], n: int) -> None:
+        _setfield(self, "lo", lo)
+        _setfield(self, "hi", hi)
+        _setfield(self, "prefix", prefix)
+        _setfield(self, "n", n)
 
     def theta_bounds(self) -> tuple[float, float]:
         return direction_theta(self.lo), direction_theta(self.hi)
@@ -238,13 +241,16 @@ def direction_from_expansion(exp: Expansion, depth: int) -> SectorInterval:
 # -- terminating directions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TerminationResult:
-    terminating: bool
-    certainty: str  # "exact" | "heuristic" | "bounded"
-    tail: int | None
-    depth: int
-    itinerary: tuple[int, ...]
+class TerminationResult(Record):
+    __slots__ = _fields = ("terminating", "certainty", "tail", "depth", "itinerary")
+
+    def __init__(self, terminating: bool, certainty: str, tail: int | None, depth: int,
+                 itinerary: tuple[int, ...]) -> None:
+        _setfield(self, "terminating", terminating)
+        _setfield(self, "certainty", certainty)  # "exact" | "heuristic" | "bounded"
+        _setfield(self, "tail", tail)
+        _setfield(self, "depth", depth)
+        _setfield(self, "itinerary", itinerary)
 
 
 def is_terminating(d: Direction, n: int, max_depth: int) -> TerminationResult:

@@ -20,7 +20,6 @@ period with the first letter repeated, for the wrap pair, and drops it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .farey import InvalidPrefixError, _check_prefix, itinerary
@@ -28,10 +27,12 @@ from .symbolic import (
     CutseqError,
     InadmissibleWordError,
     PeriodicWord,
+    Record,
     TransitionDiagram,
     Wordlike,
     WordWindow,
     _held,
+    _setfield,
     boundary_diagram,
     build_diagram,
     check_sector,
@@ -93,12 +94,14 @@ def _sandwich_free_paths(d0: TransitionDiagram, u: str, v: str, cap: int) -> lis
     return found
 
 
-@dataclass(frozen=True)
-class InterpolationTable:
+class InterpolationTable(Record):
     """Interpolating words for every edge of every sector diagram k = 1..2n-1."""
 
-    n: int
-    words: dict[tuple[int, str, str], str]
+    __slots__ = _fields = ("n", "words")
+
+    def __init__(self, n: int, words: dict[tuple[int, str, str], str]) -> None:
+        _setfield(self, "n", n)
+        _setfield(self, "words", words)
 
     def word(self, k: int, a: str, b: str) -> str:
         try:

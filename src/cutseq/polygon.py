@@ -16,11 +16,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact_arith import HALF_SQRT2, ONE, ZERO, ApproxDirection, ExactDirection, Mat2, Q2Scalar
-from .symbolic import CutseqError, LetterPermutation, check_sector, letter_at, letters_for
+from .symbolic import (
+    CutseqError,
+    LetterPermutation,
+    Record,
+    _setfield,
+    check_sector,
+    letter_at,
+    letters_for,
+)
 
 CONSTRUCTION_TOL = 1e-12
 
@@ -69,13 +76,16 @@ def _outward(x, y, a, b):
     return (x - ax) * (ay - by) + (y - ay) * (bx - ax)
 
 
-@dataclass(frozen=True)
-class LabeledPolygon:
+class LabeledPolygon(Record):
     """A labelled regular 2n-gon with opposite sides identified."""
 
-    n: int
-    vertices: tuple[tuple[float, float], ...]
-    exact_vertices: tuple[tuple[Q2Scalar, Q2Scalar], ...] | None
+    __slots__ = _fields = ("n", "vertices", "exact_vertices")
+
+    def __init__(self, n: int, vertices: tuple[tuple[float, float], ...],
+                 exact_vertices: tuple[tuple[Q2Scalar, Q2Scalar], ...] | None) -> None:
+        _setfield(self, "n", n)
+        _setfield(self, "vertices", vertices)
+        _setfield(self, "exact_vertices", exact_vertices)
 
     @property
     def side_count(self) -> int:

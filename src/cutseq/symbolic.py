@@ -56,12 +56,11 @@ pairs).
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import attrgetter
 
-LETTERS = string.ascii_uppercase
+LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_ALPHABET = len(LETTERS)
 _LABELS = str.maketrans({c: f"L{j} " for j, c in enumerate(LETTERS, 1)})
 _PERIODIC = "per:"  # the text form's marker of a periodic word
@@ -85,6 +84,44 @@ class AmbiguousDiagramError(CutseqError):
 
 class SectorIndexError(CutseqError, IndexError):
     """A sector (diagram, isometry or branch) index outside 0..2n-1."""
+
+
+class Record:
+    """==, hash and repr over the fields named in `_fields`, as dataclasses write them.
+
+    A record is frozen: `__init__` sets its slots through `object.__setattr__`,
+    and any later assignment or deletion raises AttributeError.  A mutable
+    record puts back `object.__setattr__` and sets `__hash__ = None`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls._fields)
+        # the values as a tuple, which attrgetter gives only for two or more names
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_setfield = object.__setattr__  # how a frozen record's __init__ fills its slots
 
 
 def check_sector(i: int, n: int) -> None:
@@ -180,8 +217,7 @@ def least_rotation(word: str) -> str:
     return s[i : i + m]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PeriodicWord:
+class PeriodicWord(Record):
     """A bi-infinite periodic word: its primitive period, held in any rotation.
 
     `period` is the canonical rotation, the least, computed on first use and
@@ -190,7 +226,10 @@ class PeriodicWord:
     are rotations of each other.
     """
 
-    _text: str  # the primitive period, in the rotation it was built from
+    _fields = ("_text",)  # the primitive period, in the rotation it was built from
+
+    def __init__(self, _text: str) -> None:
+        _setfield(self, "_text", _text)
 
     @classmethod
     def of(cls, word: str) -> PeriodicWord:
@@ -226,17 +265,19 @@ def _repeat(p: str, length: int) -> str:
     return (p * (length // len(p) + 1))[:length]
 
 
-@dataclass(frozen=True)
-class WordWindow:
+class WordWindow(Record):
     """A finite window of a bi-infinite word.
 
     The truncation flags record that the sandwich status of the boundary letters
     is unknown; derivation always drops them and the output stays truncated.
     """
 
-    letters: str
-    left_truncated: bool = True
-    right_truncated: bool = True
+    __slots__ = _fields = ("letters", "left_truncated", "right_truncated")
+
+    def __init__(self, letters: str, left_truncated: bool = True, right_truncated: bool = True):
+        _setfield(self, "letters", letters)
+        _setfield(self, "left_truncated", left_truncated)
+        _setfield(self, "right_truncated", right_truncated)
 
     def __str__(self) -> str:
         return self.letters
@@ -386,13 +427,15 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
 # -- transition diagrams -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionDiagram:
+class TransitionDiagram(Record):
     """Directed graph on the n letters giving the allowed consecutive pairs."""
 
-    n: int
-    index: object
-    edges: frozenset[tuple[str, str]]
+    __slots__ = _fields = ("n", "index", "edges")
+
+    def __init__(self, n: int, index: object, edges: frozenset[tuple[str, str]]) -> None:
+        _setfield(self, "n", n)
+        _setfield(self, "index", index)
+        _setfield(self, "edges", edges)
 
     def admits(self, w: Wordlike) -> bool:
         return transition_set(w) <= self.edges
@@ -412,18 +455,18 @@ class TransitionDiagram:
         return TransitionDiagram(self.n, index, self.edges & other.edges)
 
 
-@dataclass(frozen=True)
-class LetterPermutation:
+class LetterPermutation(Record):
     """A bijection of the n letters, stored as the image tuple of A, B, C, ..."""
 
-    images: tuple[str, ...]
-    _table: dict[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("images", "_table")
+    _fields = ("images",)
 
-    def __post_init__(self) -> None:
-        letters = letters_for(len(self.images))
-        if sorted(self.images) != sorted(letters):
-            raise CutseqError(f"not a bijection of {len(self.images)} letters: {self.images}")
-        object.__setattr__(self, "_table", str.maketrans(letters, "".join(self.images)))
+    def __init__(self, images: tuple[str, ...]) -> None:
+        letters = letters_for(len(images))
+        if sorted(images) != sorted(letters):
+            raise CutseqError(f"not a bijection of {len(images)} letters: {images}")
+        _setfield(self, "images", images)
+        _setfield(self, "_table", str.maketrans(letters, "".join(images)))
 
     @property
     def n(self) -> int:

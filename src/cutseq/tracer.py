@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -67,7 +66,7 @@ from .exact_arith import (
     direction_theta,
 )
 from .polygon import LabeledPolygon, _outward
-from .symbolic import CutseqError
+from .symbolic import CutseqError, Record, _setfield
 
 
 class VertexHit(CutseqError):
@@ -79,35 +78,41 @@ class VertexHit(CutseqError):
         self.side = side
 
 
-@dataclass(frozen=True)
-class TraceConfig:
-    epsilon: float = 1e-9
-    max_crossings: int = 1000
-    mode: str = "approx"  # "approx" | "exact"
+class TraceConfig(Record):
+    __slots__ = _fields = ("epsilon", "max_crossings", "mode")
 
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:  # NaN fails too
+    def __init__(self, epsilon: float = 1e-9, max_crossings: int = 1000, mode: str = "approx"):
+        if not epsilon > 0:  # NaN fails too
             raise CutseqError("epsilon must be positive")
-        if not self.epsilon < 0.5:  # the end bands of every side would meet
+        if not epsilon < 0.5:  # the end bands of every side would meet
             raise CutseqError("epsilon must be below 0.5")
-        if self.max_crossings < 1:
+        if max_crossings < 1:
             raise CutseqError("max_crossings must be >= 1")
-        if self.mode not in ("approx", "exact"):
-            raise CutseqError(f"unknown mode {self.mode!r}")
+        if mode not in ("approx", "exact"):
+            raise CutseqError(f"unknown mode {mode!r}")
+        _setfield(self, "epsilon", epsilon)
+        _setfield(self, "max_crossings", max_crossings)
+        _setfield(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class Crossing:
-    letter: str
-    point: tuple[float, float]
-    side: int
+class Crossing(Record):
+    __slots__ = _fields = ("letter", "point", "side")
+
+    def __init__(self, letter: str, point: tuple[float, float], side: int) -> None:
+        _setfield(self, "letter", letter)
+        _setfield(self, "point", point)
+        _setfield(self, "side", side)
 
 
-@dataclass
-class TraceLog:
-    direction: Direction
-    start: tuple
-    crossings: list[Crossing] = field(default_factory=list)
+class TraceLog(Record):
+    __slots__ = _fields = ("direction", "start", "crossings")
+    # mutable: assignable, deletable and unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, direction: Direction, start: tuple, crossings: list[Crossing] | None = None):
+        self.direction = direction
+        self.start = start
+        self.crossings = [] if crossings is None else crossings
 
 
 def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) -> list[tuple]:

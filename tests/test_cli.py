@@ -421,3 +421,14 @@ def test_periodic_marker_is_read_once(capsys):
 def test_derive_labelled_periodic_word(capsys):
     doc = run_json(capsys, "derive", "--word", "per:L1 L2 L1 L3", "--n", "6", "--times", "2")
     assert doc["derived"] == "per:L2 L3"
+
+
+def test_negative_times_is_usage_error(capsys):
+    # range(-1) is empty: without the check the input came back as its own derivation
+    code, out, err = run(capsys, "derive", "--word", "AB", "--times", "-1")
+    assert (code, out) == (1, "")
+    assert err == "cutseq: error: argument --times: must be >= 0, got -1\n"
+    # --times 0 is the identity
+    doc = run_json(capsys, "derive", "--word", "CACCCDBDCDC", "--times", "0")
+    assert doc["derived"] == "CACCCDBDCDC"
+    assert "times" not in doc
