@@ -25,7 +25,6 @@ import cutseq
 
 from .symbolic import (
     CutseqError,
-    InadmissibleWordError,
     build_diagram,
     derive,
     factor_counts_upto,
@@ -260,7 +259,7 @@ def _cmd_check_coherence(args) -> dict:
     if args.depth != 0 or not explicit:  # only --depth 0 with a pair asks for no chain
         tr = cutseq.renormalize(w, args.depth + 1, args.n, start_diagram=args.start_diagram)
         if tr.failure is not None and tr.depth < 2:
-            raise InadmissibleWordError(f"renormalization failed: {tr.failure}")
+            raise cutseq.coherence.chain_refusal(tr, args.depth + 1)
         for k in range(min(args.depth, tr.depth - 1)):
             i, j = tr.steps[k].diagram, tr.steps[k + 1].diagram
             verdict = cutseq.check_coherent(tr.steps[k].word, i, j, args.n)

@@ -34,6 +34,7 @@ from .symbolic import (
     _setfield,
     admissible_diagrams,
     build_diagram,
+    check_count,
     derive,
     is_exhausted,
     permute,
@@ -199,9 +200,7 @@ def _resolve_split(cur: Wordlike, pair: list[int], n: int) -> int:
     itinerary form takes the odd one before an eventually-1 tail and the even
     one before an eventually-(2n-1) tail.
     """
-    j_even, j_odd = sorted(pair)[0], sorted(pair)[1]
-    if j_odd % 2 == 0:
-        j_even, j_odd = j_odd, j_even
+    j_even, j_odd = sorted(pair, key=lambda j: j % 2)
     nxt = derive(permute(sector_permutation(j_odd, n), cur))
     if isinstance(nxt, PeriodicWord):
         if permute(sector_permutation(1, n), nxt) == nxt:
@@ -234,8 +233,7 @@ def renormalize(
     recorded).  Halts early on inadmissibility, unresolvable ambiguity, or a
     window running out of letters, reporting which.
     """
-    if max_depth < 1:
-        raise CutseqError("max_depth must be >= 1")
+    check_count(max_depth, "max_depth")
     trace = RenormalizationTrace()
     cur: Wordlike | None = w
     for k in range(max_depth):
@@ -288,14 +286,19 @@ def recognize_direction(w: Wordlike, max_depth: int, n: int = 4) -> SectorInterv
     always contains the true direction and shrinks as the depth grows.
     """
     trace = renormalize(w, max_depth, n)
+    if trace.failure is not None:
+        raise chain_refusal(trace, max_depth)
+    return sector_interval(trace.diagrams, n)
+
+
+def chain_refusal(trace: RenormalizationTrace, max_depth: int) -> CutseqError:
+    """The exception that reports a failed renormalization chain asked for max_depth levels."""
     if trace.failure == "window_exhausted":
-        raise InsufficientWindowError(
+        return InsufficientWindowError(
             f"window exhausted after {trace.depth} of {max_depth} derivations"
         )
     if trace.failure == "ambiguous":
-        raise AmbiguousDiagramError(
+        return AmbiguousDiagramError(
             f"admissible diagrams {trace.ambiguous_set} at depth {trace.depth}"
         )
-    if trace.failure is not None:
-        raise InadmissibleWordError(f"renormalization failed: {trace.failure}")
-    return sector_interval(trace.diagrams, n)
+    return InadmissibleWordError(f"renormalization failed: {trace.failure}")

@@ -397,10 +397,8 @@ def moebius_apply(m: Mat2, d: Direction) -> Direction:
     the sign of the image x coordinate distinguishes angle 0 from angle pi.
     """
     if isinstance(d, ExactDirection):
-        if m._ints is None:
-            raise TypeError("exact direction needs a matrix with Q(sqrt 2) entries")
         # the numerators times a positive multiple of (x, y): the image, scaled by D x.d y.d
-        return _direction(*_act(m._ints, *_vector(d)))
+        return _direction(*_act(_exact_ints(m), *_vector(d)))
     a, b, c, e = m.as_floats()
     vx, vy = math.cos(d.theta), math.sin(d.theta)
     wx, wy = a * vx + b * vy, c * vx + e * vy
@@ -425,12 +423,17 @@ def moebius_chain(matrices, d: Direction) -> Direction:
         return d
     xp, xq, yp, yq = _vector(d)
     for m in matrices:
-        if m._ints is None:
-            raise TypeError("exact direction needs a matrix with Q(sqrt 2) entries")
-        xp, xq, yp, yq = _act(m._ints, xp, xq, yp, yq)
+        xp, xq, yp, yq = _act(_exact_ints(m), xp, xq, yp, yq)
         if _sign(yp, yq) < 0:
             xp, xq, yp, yq = -xp, -xq, -yp, -yq
     return _direction(xp, xq, yp, yq)
+
+
+def _exact_ints(m: Mat2) -> tuple:
+    """The numerators of m: the one refusal of a float matrix acting on an exact direction."""
+    if m._ints is None:
+        raise TypeError("exact direction needs a matrix with Q(sqrt 2) entries")
+    return m._ints
 
 
 def _vector(d: ExactDirection) -> tuple[int, int, int, int]:

@@ -16,7 +16,6 @@ import math
 from functools import lru_cache
 
 from .exact_arith import (
-    ApproxDirection,
     Direction,
     ExactDirection,
     Mat2,
@@ -24,15 +23,8 @@ from .exact_arith import (
     moebius_apply,
     moebius_chain,
 )
-from .polygon import (
-    cot_half_sector,
-    is_exact,
-    isometry_nu,
-    sector_cot_bounds,
-    sector_of,
-    veech_elements,
-)
-from .symbolic import CutseqError, Record, _setfield, check_sector
+from .polygon import isometry_nu, sector_boundary, sector_of, veech_elements
+from .symbolic import CutseqError, Record, _setfield, check_count
 
 
 class InvalidPrefixError(CutseqError):
@@ -51,7 +43,6 @@ class FareyBranch(Record):
 
 @lru_cache(maxsize=None)
 def farey_branch(i: int, n: int) -> FareyBranch:
-    check_sector(i, n)
     _, gamma = veech_elements(n)
     return FareyBranch(i, gamma @ isometry_nu(i, n))
 
@@ -64,8 +55,7 @@ def farey_apply(d: Direction, n: int) -> tuple[Direction, int]:
 
 def itinerary(d: Direction, n: int, depth: int) -> tuple[int, ...]:
     """Sector indices of d, F(d), F^2(d), ... with half-open sector convention."""
-    if depth < 1:
-        raise CutseqError("depth must be >= 1")
+    check_count(depth, "depth")
     out = []
     cur = d
     for _ in range(depth):
@@ -121,6 +111,8 @@ class Expansion(Record):
         return prev % 2 == 0 and prev != 0
 
     def prefix(self, depth: int) -> tuple[int, ...]:
+        if depth < 0:
+            raise CutseqError("depth must be >= 0")
         if depth <= len(self.entries):
             return self.entries[:depth]
         if self.tail is None:
@@ -136,17 +128,7 @@ def _check_prefix(prefix: tuple[int, ...], n: int) -> None:
 
 
 def _sector_endpoints(i: int, n: int) -> tuple[Direction, Direction]:
-    if is_exact(n):
-        bounds = sector_cot_bounds(n)
-        lo = ExactDirection.horizontal(True) if i == 0 else ExactDirection.from_cot(bounds[i - 1])
-        hi = (
-            ExactDirection.horizontal(False)
-            if i == 2 * n - 1
-            else ExactDirection.from_cot(bounds[i])
-        )
-        return lo, hi
-    step = math.pi / (2 * n)
-    return ApproxDirection(i * step), ApproxDirection(min((i + 1) * step, math.pi))
+    return sector_boundary(i, n), sector_boundary(i + 1, n)
 
 
 class SectorInterval(Record):
@@ -211,15 +193,9 @@ def _inverse_branches(entries: tuple[int, ...], n: int) -> list[Mat2]:
 
 def fixed_point(tail: int, n: int) -> Direction:
     """The direction fixed by branch 1 (angle pi/2n) or branch 2n-1 (angle pi)."""
-    if tail == 1:
-        if is_exact(n):
-            return ExactDirection.from_cot(cot_half_sector(n))
-        return ApproxDirection(math.pi / (2 * n))
-    if tail == 2 * n - 1:
-        if is_exact(n):
-            return ExactDirection.horizontal(False)
-        return ApproxDirection(math.pi)
-    raise CutseqError(f"no fixed branch with index {tail}")
+    if tail not in (1, 2 * n - 1):
+        raise CutseqError(f"no fixed branch with index {tail}")
+    return sector_boundary(1 if tail == 1 else 2 * n, n)
 
 
 def direction_from_expansion(exp: Expansion, depth: int) -> SectorInterval:
@@ -256,22 +232,18 @@ class TerminationResult(Record):
 def is_terminating(d: Direction, n: int, max_depth: int) -> TerminationResult:
     """Detect an eventually constant expansion tail within max_depth steps.
 
-    Exact directions (is_exact(n)) give a proof: the orbit lands exactly on a
+    Exact directions (n in {2, 4}) give a proof: the orbit lands exactly on a
     branch fixed point.  Floating directions are judged heuristically by a
-    constant run over the last 10 sampled entries.
+    constant run over the last 10 sampled entries that sits on that fixed point.
     """
-    if max_depth < 1:
-        raise CutseqError("max_depth must be >= 1")
+    check_count(max_depth, "max_depth")
     exact = isinstance(d, ExactDirection)
-    fp_low = fixed_point(1, n) if is_exact(n) else None
+    fixed = {fixed_point(tail, n): tail for tail in (1, 2 * n - 1)}
     entries: list[int] = []
     cur = d
     for k in range(max_depth):
-        if exact:
-            if cur == fp_low:
-                return TerminationResult(True, "exact", 1, k, tuple(entries))
-            if cur.is_horizontal and cur.x.sign() < 0:
-                return TerminationResult(True, "exact", 2 * n - 1, k, tuple(entries))
+        if exact and cur in fixed:
+            return TerminationResult(True, "exact", fixed[cur], k, tuple(entries))
         cur, sector = farey_apply(cur, n)
         entries.append(sector)
     if not exact and len(entries) >= 10:
@@ -282,8 +254,7 @@ def is_terminating(d: Direction, n: int, max_depth: int) -> TerminationResult:
         window = entries[-10:]
         tail = window[0]
         if all(e == tail for e in window) and tail in (1, 2 * n - 1):
-            target = math.pi / (2 * n) if tail == 1 else math.pi
-            if abs(direction_theta(cur) - target) < 1e-12:
+            if abs(direction_theta(cur) - direction_theta(fixed_point(tail, n))) < 1e-12:
                 return TerminationResult(True, "heuristic", tail, max_depth, tuple(entries))
     return TerminationResult(False, "bounded", None, max_depth, tuple(entries))
 

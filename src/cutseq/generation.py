@@ -28,6 +28,7 @@ from .symbolic import (
     InadmissibleWordError,
     PeriodicWord,
     Record,
+    SectorIndexError,
     TransitionDiagram,
     Wordlike,
     WordWindow,
@@ -35,6 +36,7 @@ from .symbolic import (
     _setfield,
     boundary_diagram,
     build_diagram,
+    check_count,
     check_sector,
     factor_set,
     letter_at,
@@ -58,14 +60,10 @@ def sandwich_group(l: int, n: int) -> dict[str, str]:
     permutation (1 fixed, j -> n+2-j).
     """
     if not 0 <= l < n:
-        raise IndexError(f"sandwich group index {l} outside 0..{n - 1}")
-    out = {}
-    for j in range(1, n + 1):
-        if j <= n - l:
-            out[letter_at(j)] = letter_at(n + 1 - j)
-        else:
-            out[letter_at(j)] = letter_at(1 if j == 1 else n + 2 - j)
-    return out
+        raise SectorIndexError(f"sandwich group index {l} outside 0..{n - 1}")
+    # l < n puts letter 1 in the first range, so the second never meets its fixed letter
+    return {letter_at(j): letter_at(n + 1 - j if j <= n - l else n + 2 - j)
+            for j in range(1, n + 1)}
 
 
 def _sandwich_free_paths(d0: TransitionDiagram, u: str, v: str, cap: int) -> list[str]:
@@ -270,8 +268,8 @@ def enumerate_factors(
     Generated words grow geometrically through expanding branches, hence the
     word-length safety valve (the set has long stabilized by then).
     """
-    if length < 1 or depth < 1:
-        raise CutseqError("length and depth must be >= 1")
+    check_count(length, "length")
+    check_count(depth, "depth")
     if isinstance(direction_or_prefix, (tuple, list)):
         entries = tuple(direction_or_prefix)
         _check_prefix(entries, n)

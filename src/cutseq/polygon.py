@@ -9,7 +9,9 @@ Every exact quantity is read from one table, cos and sin of j pi / 4 in
 Q(sqrt 2): the vertices (vertex 0 turned clockwise by k pi / n), the dihedral
 isometries, the sector bounds cot(k pi / 2n) and the shear.  `is_exact(n)` is
 the one test of whether the table covers n (the square and the octagon); for
-every other n the same quantities are floats.
+every other n the same quantities are floats.  `check_n` is the one check that
+n >= 2, and `sector_boundary` the one source of the sector ends, exact or
+float, that the Farey map reads.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ class InvalidN(CutseqError):
     """Polygon side-pair count below 2."""
 
 
+def check_n(n: int) -> None:
+    """The one check of a side-pair count: n >= 2."""
+    if n < 2:
+        raise InvalidN(f"need at least 2 side pairs, got {n}")
+
+
 # -- the exact trig table ------------------------------------------------------
 
 _H = HALF_SQRT2
@@ -60,14 +68,6 @@ def _unit(k: int, n: int) -> tuple:
     if is_exact(n):
         return _COS_SIN_PI_4[k * (4 // n) % 8]
     return math.cos(k * math.pi / n), math.sin(k * math.pi / n)
-
-
-def _cot(k: int, n: int):
-    """cot(k pi / 2n) for 0 < k < 2n, exactly sin t / (1 - cos t) with t = k pi / n."""
-    if is_exact(n):
-        c, s = _unit(k, n)
-        return s / (1 - c)
-    return 1.0 / math.tan(k * math.pi / (2 * n))
 
 
 def _outward(x, y, a, b):
@@ -134,8 +134,7 @@ class LabeledPolygon(Record):
 @lru_cache(maxsize=None)
 def build_polygon(n: int) -> LabeledPolygon:
     """Regular 2n-gon with unit sides, horizontal top side, clockwise labels."""
-    if n < 2:
-        raise InvalidN(f"need at least 2 side pairs, got {n}")
+    check_n(n)
     letters_for(n)
     radius = 1.0 / (2.0 * math.sin(math.pi / (2 * n)))
     verts = []
@@ -169,6 +168,7 @@ def isometry_nu(i: int, n: int) -> Mat2:
     the reflections in the line of angle (k+1) pi / 2n.  Exact entries when
     is_exact(n), floats otherwise.
     """
+    check_n(n)
     check_sector(i, n)
     k = i // 2
     if i % 2 == 0:
@@ -187,7 +187,6 @@ def induced_permutation(i: int, n: int) -> LetterPermutation:
     letter of the source pair goes to the letter of the image pair.  Exact
     coordinates are matched by equality, floats within 1e-9.
     """
-    check_sector(i, n)
     poly = build_polygon(n)
     nu = isometry_nu(i, n)
     exact = is_exact(n)
@@ -208,7 +207,7 @@ def induced_permutation(i: int, n: int) -> LetterPermutation:
 
 def cot_half_sector(n: int):
     """cot(pi / 2n): exact 1 + sqrt 2 for the octagon, 1 for the square."""
-    return _cot(1, n)
+    return sector_cot_bounds(n)[0]
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +218,7 @@ def veech_elements(n: int) -> tuple[Mat2, Mat2]:
     gamma = (-1, 2 cot(pi/2n); 0, 1) is an involution and satisfies
     gamma @ nu_(2n-1) = sigma.
     """
-    if n < 2:
-        raise InvalidN(f"need at least 2 side pairs, got {n}")
+    check_n(n)
     one, zero = _unit(0, n)
     two_c = 2 * cot_half_sector(n)
     sigma = Mat2(one, two_c, zero, one)
@@ -233,8 +231,23 @@ def veech_elements(n: int) -> tuple[Mat2, Mat2]:
 
 @lru_cache(maxsize=None)
 def sector_cot_bounds(n: int) -> tuple:
-    """cot(k pi / 2n) for k = 1..2n-1, decreasing; exact when is_exact(n)."""
-    return tuple(_cot(k, n) for k in range(1, 2 * n))
+    """cot(k pi / 2n) for k = 1..2n-1, decreasing; exactly sin t / (1 - cos t), t = k pi / n,
+    when is_exact(n)."""
+    check_n(n)
+    if is_exact(n):
+        return tuple(s / (1 - c) for c, s in (_unit(k, n) for k in range(1, 2 * n)))
+    return tuple(1.0 / math.tan(k * math.pi / (2 * n)) for k in range(1, 2 * n))
+
+
+def sector_boundary(k: int, n: int):
+    """The direction of angle k pi / 2n, 0 <= k <= 2n: (1, 0), (cot k pi / 2n, 1) and (-1, 0)
+    when is_exact(n), else the float angle, exactly pi at k = 2n."""
+    if is_exact(n):
+        if 0 < k < 2 * n:
+            return ExactDirection.from_cot(sector_cot_bounds(n)[k - 1])
+        return ExactDirection.horizontal(k == 0)
+    check_n(n)
+    return ApproxDirection(math.pi if k == 2 * n else k * (math.pi / (2 * n)))
 
 
 def sector_of(d, n: int) -> int:
@@ -244,6 +257,8 @@ def sector_of(d, n: int) -> int:
     angle 0 is in sector 0.  Exact directions are classified by exact inverse
     slope comparisons.
     """
+    if n < 2:  # one comparison on the hot Farey step; check_n holds the refusal
+        check_n(n)
     if isinstance(d, ExactDirection):
         if not is_exact(n):
             raise CutseqError(_NO_EXACT)

@@ -83,7 +83,8 @@ class AmbiguousDiagramError(CutseqError):
 
 
 class SectorIndexError(CutseqError, IndexError):
-    """A sector (diagram, isometry or branch) index outside 0..2n-1."""
+    """A sector (diagram, isometry or branch) index outside 0..2n-1, or a sandwich group
+    index outside 0..n-1."""
 
 
 class Record:
@@ -98,17 +99,22 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
+        """Give the class its own == and hash over one attrgetter, unless it has some already."""
         get = attrgetter(*cls._fields)
-        # the values as a tuple, which attrgetter gives only for two or more names
-        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == self._values(other)
+        def eq(self, other: object) -> bool:
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
 
-    def __hash__(self) -> int:
-        return hash(self._values(self))
+        # attrgetter gives the tuple of two or more values; a dataclass hashes one as a 1-tuple
+        if len(cls._fields) > 1:
+            methods = {"__eq__": eq, "__hash__": lambda self: hash(get(self))}
+        else:
+            methods = {"__eq__": eq, "__hash__": lambda self: hash((get(self),))}
+        for name, method in methods.items():  # not over PeriodicWord's or a mutable record's
+            if getattr(cls, name) is getattr(object, name):
+                setattr(cls, name, method)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -128,6 +134,12 @@ def check_sector(i: int, n: int) -> None:
     """The one range check of a sector index: 0 <= i < 2n."""
     if not 0 <= i < 2 * n:
         raise SectorIndexError(f"sector index {i} outside 0..{2 * n - 1}")
+
+
+def check_count(value: int, name: str) -> None:
+    """The one check of a count (a depth, a length, a budget): value >= 1."""
+    if value < 1:
+        raise CutseqError(f"{name} must be >= 1")
 
 
 def letters_for(n: int) -> str:
@@ -683,8 +695,7 @@ def square_derive(word: str) -> str:
 
 def _check_factor_length(length: int, available: int, name: str) -> None:
     """The one bound on a factor length: 1 <= length <= the letters available."""
-    if length < 1:
-        raise CutseqError(f"{name} must be >= 1")
+    check_count(length, name)
     if length > available:
         raise CutseqError(f"{name} exceeds word length")
 

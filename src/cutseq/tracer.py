@@ -66,7 +66,7 @@ from .exact_arith import (
     direction_theta,
 )
 from .polygon import LabeledPolygon, _outward
-from .symbolic import CutseqError, Record, _setfield
+from .symbolic import CutseqError, Record, _setfield, check_count
 
 
 class VertexHit(CutseqError):
@@ -86,8 +86,7 @@ class TraceConfig(Record):
             raise CutseqError("epsilon must be positive")
         if not epsilon < 0.5:  # the end bands of every side would meet
             raise CutseqError("epsilon must be below 0.5")
-        if max_crossings < 1:
-            raise CutseqError("max_crossings must be >= 1")
+        check_count(max_crossings, "max_crossings")
         if mode not in ("approx", "exact"):
             raise CutseqError(f"unknown mode {mode!r}")
         _setfield(self, "epsilon", epsilon)

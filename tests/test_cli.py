@@ -77,6 +77,29 @@ def test_enumerate(capsys):
     assert doc["count"] == 7  # 3*2 + 1
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--len", "0"], "cutseq: length must be >= 1\n"),
+        (["--len", "3", "--depth", "0"], "cutseq: depth must be >= 1\n"),
+    ],
+)
+def test_enumerate_names_the_count_below_one(capsys, argv, err):
+    assert run(capsys, "enumerate", "--theta", "0.9", *argv) == (2, "", err)
+
+
+def test_failed_chain_is_refused_alike_by_check_coherence_and_recognize(capsys):
+    refused = run(capsys, "check-coherence", "--word", "AB", "--depth", "0")
+    assert refused == run(capsys, "recognize", "--word", "AB")
+    assert refused == (2, "", "cutseq: admissible diagrams (2, 3, 6, 7) at depth 0\n")
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_n_below_two_is_a_domain_error(capsys, n):
+    code, out, err = run(capsys, "expand-direction", "--theta", "0.5", "--n", n)
+    assert (code, out, err) == (2, "", f"cutseq: need at least 2 side pairs, got {n}\n")
+
+
 def test_check_coherence_incoherent_word(capsys):
     doc = run_json(
         capsys, "check-coherence", "--word", "per:CCCBDBCCBDBCCBDBCBDADB", "--i", "0",
@@ -293,7 +316,7 @@ def test_check_coherence_explicit_pair_needs_no_chain(capsys):
     assert doc["coherent"] is True
     # without a pair the chain is all there is, and its failure is reported
     code, out, err = run(capsys, "check-coherence", "--word", "AB", "--depth", "0")
-    assert (code, out, err) == (2, "", "cutseq: renormalization failed: ambiguous\n")
+    assert (code, out, err) == (2, "", "cutseq: admissible diagrams (2, 3, 6, 7) at depth 0\n")
     code, out, err = run(capsys, "check-coherence", "--word", WINDOW, "--depth", "0")
     assert code == 2 and "give --i and --j" in err
 

@@ -13,6 +13,7 @@ from cutseq.exact_arith import (
     SingularMatrixError,
     approx_from_exact,
     moebius_apply,
+    moebius_chain,
 )
 from cutseq.polygon import isometry_nu, veech_elements
 
@@ -203,3 +204,12 @@ def test_approx_direction_bounds():
         ApproxDirection(-0.1)
     with pytest.raises(ValueError):
         ApproxDirection(math.pi + 0.1)
+
+
+@pytest.mark.parametrize(
+    "act", [moebius_apply, lambda m, d: moebius_chain([Mat2.identity(), m], d)]
+)
+def test_float_matrix_on_exact_direction_is_refused_with_one_text(act):
+    with pytest.raises(TypeError) as info:
+        act(isometry_nu(1, 6), ExactDirection.from_cot(1))
+    assert str(info.value) == "exact direction needs a matrix with Q(sqrt 2) entries"

@@ -8,6 +8,7 @@ from cutseq.exact_arith import ApproxDirection, ExactDirection, Q2Scalar, moebiu
 from cutseq.farey import (
     Expansion,
     InvalidPrefixError,
+    _sector_endpoints,
     direction_from_expansion,
     farey_apply,
     farey_branch,
@@ -19,6 +20,7 @@ from cutseq.farey import (
     square_farey,
 )
 from cutseq.polygon import sector_cot_bounds, sector_of
+from cutseq.symbolic import CutseqError
 
 
 def q2(a, b=0):
@@ -232,3 +234,56 @@ def test_itinerary_is_valid_sector_sequence():
         seq = itinerary(ApproxDirection(rng.uniform(0.01, math.pi - 0.01)), 4, 30)
         exp = Expansion(4, seq)
         assert exp.in_s_star and exp.is_sector_sequence
+
+
+# cot(k pi / 2n) for k = 1..2n-1, written out: the square's and the octagon's sector bounds
+EXACT_COTS = {
+    2: ((1, 0), (0, 0), (-1, 0)),
+    4: ((1, 1), (1, 0), (-1, 1), (0, 0), (1, -1), (-1, 0), (-1, -1)),
+}
+
+
+def reference_sector_endpoints(i, n):
+    """The ends of sector i as the Farey map read them before polygon held them."""
+    if n in EXACT_COTS:
+        cots = EXACT_COTS[n]
+        lo = ExactDirection.horizontal(True) if i == 0 else exact_dir(*cots[i - 1])
+        hi = ExactDirection.horizontal(False) if i == 2 * n - 1 else exact_dir(*cots[i])
+        return lo, hi
+    step = math.pi / (2 * n)
+    return ApproxDirection(i * step), ApproxDirection(min((i + 1) * step, math.pi))
+
+
+def reference_fixed_point(tail, n):
+    if n in EXACT_COTS:
+        return exact_dir(*EXACT_COTS[n][0]) if tail == 1 else ExactDirection.horizontal(False)
+    return ApproxDirection(math.pi / (2 * n) if tail == 1 else math.pi)
+
+
+@pytest.mark.parametrize("n", range(2, 27))
+def test_sector_endpoints_and_fixed_points_match_reference(n):
+    for i in range(2 * n):
+        assert _sector_endpoints(i, n) == reference_sector_endpoints(i, n), i
+    for tail in (1, 2 * n - 1):
+        assert fixed_point(tail, n) == reference_fixed_point(tail, n)
+    # the sectors tile [0, pi]: each high end is the next sector's low end
+    assert all(_sector_endpoints(i, n)[1] == _sector_endpoints(i + 1, n)[0]
+               for i in range(2 * n - 1))
+
+
+@pytest.mark.parametrize("n", [75, 150, 167])
+def test_last_sector_ends_exactly_at_pi(n):
+    # 2n fl(pi / 2n) rounds below pi here; the last sector still ends on the fixed point pi
+    assert 2 * n * (math.pi / (2 * n)) < math.pi
+    hi = _sector_endpoints(2 * n - 1, n)[1]
+    assert hi.theta == math.pi and hi == fixed_point(2 * n - 1, n)
+    assert sector_interval((2 * n - 1,), n).theta_bounds()[1] == math.pi
+
+
+def test_negative_depth_is_refused():
+    exp = Expansion(4, (0, 1, 6))
+    for call in (lambda: exp.prefix(-1), lambda: direction_from_expansion(exp, -1),
+                 lambda: direction_from_expansion(Expansion(4, (0, 3), 1), -1)):
+        with pytest.raises(CutseqError, match=r"^depth must be >= 0$"):
+            call()
+    assert exp.prefix(0) == () and exp.prefix(2) == (0, 1)

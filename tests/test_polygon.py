@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutseq.exact_arith import ExactDirection, Mat2, Q2Scalar, moebius_apply
+from cutseq.exact_arith import ApproxDirection, ExactDirection, Mat2, Q2Scalar, moebius_apply
 from cutseq.polygon import (
     InvalidN,
     build_polygon,
@@ -62,6 +62,27 @@ def test_dodecagon():
 def test_invalid_n():
     with pytest.raises(InvalidN):
         build_polygon(1)
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        build_polygon,
+        veech_elements,
+        lambda n: isometry_nu(0, n),
+        cot_half_sector,
+        sector_cot_bounds,
+        lambda n: sector_of(ApproxDirection(0.5), n),
+        lambda n: sector_of(ExactDirection.from_cot(1), n),
+    ],
+    ids=["build_polygon", "veech_elements", "isometry_nu", "cot_half_sector",
+         "sector_cot_bounds", "sector_of_float", "sector_of_exact"],
+)
+def test_every_function_of_n_refuses_n_below_2_with_one_text(call, n):
+    with pytest.raises(InvalidN) as info:
+        call(n)
+    assert str(info.value) == f"need at least 2 side pairs, got {n}"
 
 
 def test_opposite_sides_parallel_and_translated():
