@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 
 # the package is lazy: names other than symbolic's are read from it when a
@@ -26,6 +27,7 @@ import cutseq
 from .symbolic import (
     CutseqError,
     build_diagram,
+    check_n,
     derive,
     factor_counts_upto,
     format_word,
@@ -47,14 +49,13 @@ def _parse_flag(flag: str, text: str, parse):
 
 
 def _parse_angle(text: str) -> float:
-    t = text.strip()
-    if "pi" not in t:
-        return float(t)
-    # multiples like 3*pi/8 or pi/8, read as a float angle
-    head, _, denom = t.partition("/")
-    coeff = head.replace("*", "").replace("pi", "").strip()
-    k = float(coeff) if coeff else 1.0
-    return k * math.pi / (float(denom) if denom else 1.0)
+    """[k[*]]pi[/m] with decimal k and m (a float angle), else a plain float."""
+    number = r"(\d+(?:\.\d*)?|\.\d+)"  # re compiles the pattern once, when --theta is read
+    match = re.fullmatch(rf"(?:{number}\*?)?pi(?:/{number})?", text.strip())
+    if match is None:
+        return float(text)
+    k, m = match.groups()
+    return float(k or 1) * math.pi / float(m or 1)
 
 
 def _parse_point(text: str, scalar) -> tuple:
@@ -388,6 +389,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        check_n(args.n)  # every subcommand reads --n: one refusal, before any layer runs
         payload = args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"cutseq: error: {exc}\n")

@@ -31,7 +31,6 @@ from .symbolic import (
     Record,
     Wordlike,
     _held,
-    _setfield,
     admissible_diagrams,
     build_diagram,
     check_count,
@@ -67,12 +66,8 @@ def fitting_groups(profile: dict[str, frozenset[str]], n: int) -> tuple[int, ...
 
 
 class CoherenceVerdict(Record):
-    __slots__ = _fields = ("accepted", "failed", "groups")
-
-    def __init__(self, accepted: bool, failed: str | None = None, groups: tuple[int, ...] = ()):
-        _setfield(self, "accepted", accepted)
-        _setfield(self, "failed", failed)  # "C0" | "C1" | "C2" | "C3"
-        _setfield(self, "groups", groups)
+    __slots__ = _fields = ("accepted", "failed", "groups")  # failed: "C0" | "C1" | "C2" | "C3"
+    _defaults = (None, ())
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -163,25 +158,13 @@ def decompose_generation(w: Wordlike, i: int, n: int = 4) -> tuple[int, Wordlike
 class RenormalizationStep(Record):
     __slots__ = _fields = ("word", "diagram", "normalized")
 
-    def __init__(self, word: Wordlike, diagram: int, normalized: Wordlike) -> None:
-        _setfield(self, "word", word)
-        _setfield(self, "diagram", diagram)
-        _setfield(self, "normalized", normalized)
-
 
 class RenormalizationTrace(Record):
     __slots__ = _fields = ("steps", "failure", "ambiguous_set", "tail", "split")
+    # failure: "inadmissible" | "ambiguous" | "window_exhausted"; split: (step, candidate pair)
+    _defaults = ([], None, (), None, None)
     # mutable: assignable, deletable and unhashable
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, steps: list[RenormalizationStep] | None = None, failure: str | None = None,
-                 ambiguous_set: tuple[int, ...] = (), tail: int | None = None,
-                 split: tuple[int, tuple[int, ...]] | None = None) -> None:
-        self.steps = [] if steps is None else steps
-        self.failure = failure  # "inadmissible" | "ambiguous" | "window_exhausted"
-        self.ambiguous_set = ambiguous_set
-        self.tail = tail
-        self.split = split  # (step, candidate pair)
 
     @property
     def diagrams(self) -> tuple[int, ...]:

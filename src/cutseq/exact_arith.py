@@ -24,7 +24,7 @@ import math
 import re
 from fractions import Fraction
 
-from .symbolic import Record, _setfield
+from .symbolic import Record
 
 # the square-free d of the field Q(sqrt d); every product, norm and sign below reads it
 RADICAND = 2
@@ -332,10 +332,6 @@ class ExactDirection(Record):
 
     __slots__ = _fields = ("x", "y")
 
-    def __init__(self, x: Q2Scalar, y: Q2Scalar) -> None:
-        _setfield(self, "x", x)
-        _setfield(self, "y", y)
-
     @classmethod
     def from_cot(cls, mu: Q2Scalar | int | Fraction) -> ExactDirection:
         return cls(_coerce(mu), ONE)
@@ -373,10 +369,9 @@ class ApproxDirection(Record):
 
     __slots__ = _fields = ("theta",)
 
-    def __init__(self, theta: float) -> None:
-        if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"angle {theta} outside [0, pi]")
-        _setfield(self, "theta", theta)
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.theta <= math.pi:
+            raise ValueError(f"angle {self.theta} outside [0, pi]")
 
     def angle_key(self):
         return (1, self.theta)

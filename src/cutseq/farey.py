@@ -16,6 +16,7 @@ import math
 from functools import lru_cache
 
 from .exact_arith import (
+    ApproxDirection,
     Direction,
     ExactDirection,
     Mat2,
@@ -24,7 +25,7 @@ from .exact_arith import (
     moebius_chain,
 )
 from .polygon import isometry_nu, sector_boundary, sector_of, veech_elements
-from .symbolic import CutseqError, Record, _setfield, check_count
+from .symbolic import CutseqError, Record, check_count
 
 
 class InvalidPrefixError(CutseqError):
@@ -36,10 +37,6 @@ class FareyBranch(Record):
 
     __slots__ = _fields = ("sector", "matrix")
 
-    def __init__(self, sector: int, matrix: Mat2) -> None:
-        _setfield(self, "sector", sector)
-        _setfield(self, "matrix", matrix)
-
 
 @lru_cache(maxsize=None)
 def farey_branch(i: int, n: int) -> FareyBranch:
@@ -48,9 +45,16 @@ def farey_branch(i: int, n: int) -> FareyBranch:
 
 
 def farey_apply(d: Direction, n: int) -> tuple[Direction, int]:
-    """One step of the renormalization map; returns the image and the sector used."""
+    """One step of the renormalization map; returns the image and the sector used.
+
+    Every branch maps onto [pi/2n, pi]: a float image below pi/2n rounded off
+    an end (pi/2n, or pi across to near 0) and is read as that end.
+    """
     sector = sector_of(d, n)
-    return moebius_apply(farey_branch(sector, n).matrix, d), sector
+    image = moebius_apply(farey_branch(sector, n).matrix, d)
+    if isinstance(image, ApproxDirection) and image.theta < math.pi / (2 * n):
+        image = ApproxDirection(math.pi if image.theta < math.pi / (4 * n) else math.pi / (2 * n))
+    return image, sector
 
 
 def itinerary(d: Direction, n: int, depth: int) -> tuple[int, ...]:
@@ -75,13 +79,11 @@ class Expansion(Record):
     """
 
     __slots__ = _fields = ("n", "entries", "tail")
+    _defaults = (None,)
 
-    def __init__(self, n: int, entries: tuple[int, ...], tail: int | None = None) -> None:
-        if tail is not None and tail not in (1, 2 * n - 1):
-            raise CutseqError(f"constant tail must be 1 or {2 * n - 1}")
-        _setfield(self, "n", n)
-        _setfield(self, "entries", entries)
-        _setfield(self, "tail", tail)
+    def __post_init__(self) -> None:
+        if self.tail is not None and self.tail not in (1, 2 * self.n - 1):
+            raise CutseqError(f"constant tail must be 1 or {2 * self.n - 1}")
 
     @property
     def in_s_star(self) -> bool:
@@ -135,12 +137,6 @@ class SectorInterval(Record):
     """Closed interval of directions cut out by an expansion prefix."""
 
     __slots__ = _fields = ("lo", "hi", "prefix", "n")
-
-    def __init__(self, lo: Direction, hi: Direction, prefix: tuple[int, ...], n: int) -> None:
-        _setfield(self, "lo", lo)
-        _setfield(self, "hi", hi)
-        _setfield(self, "prefix", prefix)
-        _setfield(self, "n", n)
 
     def theta_bounds(self) -> tuple[float, float]:
         return direction_theta(self.lo), direction_theta(self.hi)
@@ -218,15 +214,8 @@ def direction_from_expansion(exp: Expansion, depth: int) -> SectorInterval:
 
 
 class TerminationResult(Record):
+    # certainty: "exact" | "heuristic" | "bounded"
     __slots__ = _fields = ("terminating", "certainty", "tail", "depth", "itinerary")
-
-    def __init__(self, terminating: bool, certainty: str, tail: int | None, depth: int,
-                 itinerary: tuple[int, ...]) -> None:
-        _setfield(self, "terminating", terminating)
-        _setfield(self, "certainty", certainty)  # "exact" | "heuristic" | "bounded"
-        _setfield(self, "tail", tail)
-        _setfield(self, "depth", depth)
-        _setfield(self, "itinerary", itinerary)
 
 
 def is_terminating(d: Direction, n: int, max_depth: int) -> TerminationResult:

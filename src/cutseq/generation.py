@@ -33,7 +33,6 @@ from .symbolic import (
     Wordlike,
     WordWindow,
     _held,
-    _setfield,
     boundary_diagram,
     build_diagram,
     check_count,
@@ -95,11 +94,7 @@ def _sandwich_free_paths(d0: TransitionDiagram, u: str, v: str, cap: int) -> lis
 class InterpolationTable(Record):
     """Interpolating words for every edge of every sector diagram k = 1..2n-1."""
 
-    __slots__ = _fields = ("n", "words")
-
-    def __init__(self, n: int, words: dict[tuple[int, str, str], str]) -> None:
-        _setfield(self, "n", n)
-        _setfield(self, "words", words)
+    __slots__ = _fields = ("n", "words")  # words: {(k, a, b): word}
 
     def word(self, k: int, a: str, b: str) -> str:
         try:

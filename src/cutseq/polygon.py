@@ -9,9 +9,8 @@ Every exact quantity is read from one table, cos and sin of j pi / 4 in
 Q(sqrt 2): the vertices (vertex 0 turned clockwise by k pi / n), the dihedral
 isometries, the sector bounds cot(k pi / 2n) and the shear.  `is_exact(n)` is
 the one test of whether the table covers n (the square and the octagon); for
-every other n the same quantities are floats.  `check_n` is the one check that
-n >= 2, and `sector_boundary` the one source of the sector ends, exact or
-float, that the Farey map reads.
+every other n the same quantities are floats.  `sector_boundary` is the one
+source of the sector ends, exact or float, that the Farey map reads.
 """
 
 from __future__ import annotations
@@ -23,25 +22,16 @@ from functools import lru_cache
 from .exact_arith import HALF_SQRT2, ONE, ZERO, ApproxDirection, ExactDirection, Mat2, Q2Scalar
 from .symbolic import (
     CutseqError,
+    InvalidN,  # cutseq exports it from here
     LetterPermutation,
     Record,
-    _setfield,
+    check_n,
     check_sector,
     letter_at,
     letters_for,
 )
 
 CONSTRUCTION_TOL = 1e-12
-
-
-class InvalidN(CutseqError):
-    """Polygon side-pair count below 2."""
-
-
-def check_n(n: int) -> None:
-    """The one check of a side-pair count: n >= 2."""
-    if n < 2:
-        raise InvalidN(f"need at least 2 side pairs, got {n}")
 
 
 # -- the exact trig table ------------------------------------------------------
@@ -79,13 +69,7 @@ def _outward(x, y, a, b):
 class LabeledPolygon(Record):
     """A labelled regular 2n-gon with opposite sides identified."""
 
-    __slots__ = _fields = ("n", "vertices", "exact_vertices")
-
-    def __init__(self, n: int, vertices: tuple[tuple[float, float], ...],
-                 exact_vertices: tuple[tuple[Q2Scalar, Q2Scalar], ...] | None) -> None:
-        _setfield(self, "n", n)
-        _setfield(self, "vertices", vertices)
-        _setfield(self, "exact_vertices", exact_vertices)
+    __slots__ = _fields = ("n", "vertices", "exact_vertices")  # exact_vertices: None unless exact
 
     @property
     def side_count(self) -> int:
@@ -134,8 +118,7 @@ class LabeledPolygon(Record):
 @lru_cache(maxsize=None)
 def build_polygon(n: int) -> LabeledPolygon:
     """Regular 2n-gon with unit sides, horizontal top side, clockwise labels."""
-    check_n(n)
-    letters_for(n)
+    letters_for(n)  # n in 2..26: check_n, then the alphabet's bound
     radius = 1.0 / (2.0 * math.sin(math.pi / (2 * n)))
     verts = []
     for k in range(2 * n):

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import attrgetter
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_ALPHABET = len(LETTERS)
@@ -88,32 +87,45 @@ class SectorIndexError(CutseqError, IndexError):
 
 
 class Record:
-    """==, hash and repr over the fields named in `_fields`, as dataclasses write them.
+    """__init__, ==, hash and repr over the slots named in `_fields`, as dataclasses write them.
 
-    A record is frozen: `__init__` sets its slots through `object.__setattr__`,
-    and any later assignment or deletion raises AttributeError.  A mutable
-    record puts back `object.__setattr__` and sets `__hash__ = None`.
+    `_defaults` holds the defaults of the last fields (a `[]` gives each record
+    its own list, as passing None does), and `__init__` ends in the class's
+    `__post_init__`, if any.  A record is frozen: `__init__` fills each slot
+    through the slot's `__set__`, faster than `object.__setattr__`, and a later
+    assignment or deletion raises AttributeError.  A mutable record puts back
+    `object.__setattr__`, so its `__init__` assigns, and sets `__hash__ = None`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls) -> None:
-        """Give the class its own == and hash over one attrgetter, unless it has some already."""
-        get = attrgetter(*cls._fields)
-
-        def eq(self, other: object) -> bool:
-            if other.__class__ is not self.__class__:
-                return NotImplemented
-            return get(self) == get(other)
-
-        # attrgetter gives the tuple of two or more values; a dataclass hashes one as a 1-tuple
-        if len(cls._fields) > 1:
-            methods = {"__eq__": eq, "__hash__": lambda self: hash(get(self))}
-        else:
-            methods = {"__eq__": eq, "__hash__": lambda self: hash((get(self),))}
-        for name, method in methods.items():  # not over PeriodicWord's or a mutable record's
+        """Compile the class's __init__, == and hash, keeping any it has already."""
+        fields, defaults = cls._fields, cls._defaults
+        lists = {f for f, d in zip(fields[len(fields) - len(defaults):], defaults) if d == []}
+        values = {f: f"[] if {f} is None else {f}" if f in lists else f for f in fields}
+        frozen = cls.__setattr__ is Record.__setattr__
+        mine = "(" + "".join(f"self.{f}, " for f in fields) + ")"  # a dataclass hashes 1-tuples
+        source = (
+            f"def __init__(self, {', '.join(fields)}):\n"
+            + "".join(f" _set_{f}(self, {v})\n" if frozen else f" self.{f} = {v}\n"
+                      for f, v in values.items())
+            + (" self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+            + "def __eq__(self, other):\n"
+            " if other.__class__ is not self.__class__:\n"
+            "  return NotImplemented\n"
+            f" return {mine} == {mine.replace('self.', 'other.')}\n"
+            f"def __hash__(self):\n return hash({mine})\n"
+        )
+        methods = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        exec(compile(source, f"<record {cls.__qualname__}>", "exec"), methods)
+        methods["__init__"].__defaults__ = tuple(None if d == [] else d for d in defaults)
+        for name in ("__init__", "__eq__", "__hash__"):  # not over PeriodicWord's or a mutable's
             if getattr(cls, name) is getattr(object, name):
+                method = methods[name]
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, method)
 
     def __repr__(self) -> str:
@@ -127,7 +139,14 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-_setfield = object.__setattr__  # how a frozen record's __init__ fills its slots
+class InvalidN(CutseqError):
+    """Polygon side-pair count below 2."""
+
+
+def check_n(n: int) -> None:
+    """The one check of a side-pair count: n >= 2."""
+    if n < 2:
+        raise InvalidN(f"need at least 2 side pairs, got {n}")
 
 
 def check_sector(i: int, n: int) -> None:
@@ -144,6 +163,7 @@ def check_count(value: int, name: str) -> None:
 
 def letters_for(n: int) -> str:
     if not 2 <= n <= MAX_ALPHABET:
+        check_n(n)
         raise CutseqError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {n}")
     return LETTERS[:n]
 
@@ -238,10 +258,8 @@ class PeriodicWord(Record):
     are rotations of each other.
     """
 
+    __slots__ = ("_text", "__dict__")  # __dict__ holds the cached period
     _fields = ("_text",)  # the primitive period, in the rotation it was built from
-
-    def __init__(self, _text: str) -> None:
-        _setfield(self, "_text", _text)
 
     @classmethod
     def of(cls, word: str) -> PeriodicWord:
@@ -285,11 +303,7 @@ class WordWindow(Record):
     """
 
     __slots__ = _fields = ("letters", "left_truncated", "right_truncated")
-
-    def __init__(self, letters: str, left_truncated: bool = True, right_truncated: bool = True):
-        _setfield(self, "letters", letters)
-        _setfield(self, "left_truncated", left_truncated)
-        _setfield(self, "right_truncated", right_truncated)
+    _defaults = (True, True)
 
     def __str__(self) -> str:
         return self.letters
@@ -442,12 +456,7 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
 class TransitionDiagram(Record):
     """Directed graph on the n letters giving the allowed consecutive pairs."""
 
-    __slots__ = _fields = ("n", "index", "edges")
-
-    def __init__(self, n: int, index: object, edges: frozenset[tuple[str, str]]) -> None:
-        _setfield(self, "n", n)
-        _setfield(self, "index", index)
-        _setfield(self, "edges", edges)
+    __slots__ = _fields = ("n", "index", "edges")  # edges: frozenset of (letter, letter)
 
     def admits(self, w: Wordlike) -> bool:
         return transition_set(w) <= self.edges
@@ -473,12 +482,11 @@ class LetterPermutation(Record):
     __slots__ = ("images", "_table")
     _fields = ("images",)
 
-    def __init__(self, images: tuple[str, ...]) -> None:
-        letters = letters_for(len(images))
-        if sorted(images) != sorted(letters):
-            raise CutseqError(f"not a bijection of {len(images)} letters: {images}")
-        _setfield(self, "images", images)
-        _setfield(self, "_table", str.maketrans(letters, "".join(images)))
+    def __post_init__(self) -> None:
+        letters = letters_for(len(self.images))
+        if sorted(self.images) != sorted(letters):
+            raise CutseqError(f"not a bijection of {len(self.images)} letters: {self.images}")
+        object.__setattr__(self, "_table", str.maketrans(letters, "".join(self.images)))
 
     @property
     def n(self) -> int:

@@ -66,7 +66,7 @@ from .exact_arith import (
     direction_theta,
 )
 from .polygon import LabeledPolygon, _outward
-from .symbolic import CutseqError, Record, _setfield, check_count
+from .symbolic import CutseqError, Record, check_count
 
 
 class VertexHit(CutseqError):
@@ -80,38 +80,27 @@ class VertexHit(CutseqError):
 
 class TraceConfig(Record):
     __slots__ = _fields = ("epsilon", "max_crossings", "mode")
+    _defaults = (1e-9, 1000, "approx")
 
-    def __init__(self, epsilon: float = 1e-9, max_crossings: int = 1000, mode: str = "approx"):
-        if not epsilon > 0:  # NaN fails too
+    def __post_init__(self) -> None:
+        if not self.epsilon > 0:  # NaN fails too
             raise CutseqError("epsilon must be positive")
-        if not epsilon < 0.5:  # the end bands of every side would meet
+        if not self.epsilon < 0.5:  # the end bands of every side would meet
             raise CutseqError("epsilon must be below 0.5")
-        check_count(max_crossings, "max_crossings")
-        if mode not in ("approx", "exact"):
-            raise CutseqError(f"unknown mode {mode!r}")
-        _setfield(self, "epsilon", epsilon)
-        _setfield(self, "max_crossings", max_crossings)
-        _setfield(self, "mode", mode)
+        check_count(self.max_crossings, "max_crossings")
+        if self.mode not in ("approx", "exact"):
+            raise CutseqError(f"unknown mode {self.mode!r}")
 
 
 class Crossing(Record):
     __slots__ = _fields = ("letter", "point", "side")
 
-    def __init__(self, letter: str, point: tuple[float, float], side: int) -> None:
-        _setfield(self, "letter", letter)
-        _setfield(self, "point", point)
-        _setfield(self, "side", side)
-
 
 class TraceLog(Record):
     __slots__ = _fields = ("direction", "start", "crossings")
+    _defaults = ([],)
     # mutable: assignable, deletable and unhashable
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, direction: Direction, start: tuple, crossings: list[Crossing] | None = None):
-        self.direction = direction
-        self.start = start
-        self.crossings = [] if crossings is None else crossings
 
 
 def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) -> list[tuple]:

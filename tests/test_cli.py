@@ -1,4 +1,5 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -455,3 +456,57 @@ def test_negative_times_is_usage_error(capsys):
     doc = run_json(capsys, "derive", "--word", "CACCCDBDCDC", "--times", "0")
     assert doc["derived"] == "CACCCDBDCDC"
     assert "times" not in doc
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagrams"],
+        ["derive", "--word", "AB"],
+        ["seeds", "--k", "0"],
+        ["generate", "--from", "0", "--to", "1", "--word", "AB"],
+        ["families", "--prefix", "0,1"],
+    ],
+)
+def test_n_below_two_has_one_refusal_in_every_command(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert (code, out, err) == (2, "", f"cutseq: need at least 2 side pairs, got {n}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand-direction", "--theta", "pi/2"],
+        ["expand-direction", "--theta", "pi/2", "--depth", "6"],
+        ["enumerate", "--theta", "pi/2", "--len", "3"],
+    ],
+)
+def test_sector_end_angle_expands(capsys, argv):
+    # pi/2 starts sector 4 of the octagon; its images round off the fixed point pi
+    doc = run_json(capsys, *argv)
+    if "itinerary" in doc:
+        assert doc["itinerary"][:2] == [4, 7]
+        assert 0 not in doc["itinerary"][1:]
+
+
+@pytest.mark.parametrize("text", ["pipi/2", "pi*pi/16", "pi3/8", "2**pi/4", "pi/0", "*pi/2"])
+def test_malformed_angle_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "trace", "--theta", text)
+    assert (code, out) == (1, "")
+    assert err == f"cutseq: error: argument --theta: invalid value {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text, theta",
+    [("3*pi/8", 3 * math.pi / 8), ("3pi/8", 3 * math.pi / 8), ("pi/8", math.pi / 8),
+     ("pi", math.pi), ("0.9", 0.9), (" 2.5*pi/4 ", 2.5 * math.pi / 4)],
+)
+def test_angle_forms(capsys, text, theta):
+    doc = run_json(capsys, "expand-direction", "--theta", text, "--depth", "3",
+                   "--timestamp", "T")
+    assert doc["manifest"]["flags"]["theta"] == text
+    ref = run_json(capsys, "expand-direction", "--theta", repr(theta), "--depth", "3",
+                   "--timestamp", "T")
+    del doc["manifest"], ref["manifest"]
+    assert doc == ref

@@ -110,6 +110,18 @@ def test_itinerary_zero_only_first():
         assert all(e != 0 for e in seq[1:])
 
 
+def test_itinerary_zero_only_first_at_sector_ends():
+    # every angle k pi/2n and its two neighbouring floats: an image that rounds off
+    # a branch end (pi to near 0, pi/2n to just below) is read as that end
+    for n in range(2, 27):
+        for k in range(2 * n + 1):
+            theta = k * math.pi / (2 * n)
+            for t in (math.nextafter(theta, 0.0), theta, math.nextafter(theta, 4.0)):
+                if 0.0 <= t <= math.pi:
+                    seq = itinerary(ApproxDirection(t), n, 20)
+                    assert 0 not in seq[1:], (n, k, t, seq)
+
+
 def test_itinerary_matches_exact_shadow():
     # the floating pipeline follows the exact one for many steps
     rng = random.Random(4)
