@@ -91,10 +91,11 @@ class Record:
 
     `_defaults` holds the defaults of the last fields (a `[]` gives each record
     its own list, as passing None does), and `__init__` ends in the class's
-    `__post_init__`, if any.  A record is frozen: `__init__` fills each slot
-    through the slot's `__set__`, faster than `object.__setattr__`, and a later
-    assignment or deletion raises AttributeError.  A mutable record puts back
-    `object.__setattr__`, so its `__init__` assigns, and sets `__hash__ = None`.
+    `__post_init__`, if any.  A record is frozen: a later assignment or deletion
+    raises AttributeError, so `__init__` fills each slot through the slot's
+    `__set__`, faster than `object.__setattr__`.  A mutable record puts back
+    `object.__setattr__` and `object.__delattr__` and sets `__hash__ = None`; its
+    `__init__` assigns, which takes half the time of a `__set__` call.
     """
 
     __slots__ = ()
@@ -106,12 +107,12 @@ class Record:
         fields, defaults = cls._fields, cls._defaults
         lists = {f for f, d in zip(fields[len(fields) - len(defaults):], defaults) if d == []}
         values = {f: f"[] if {f} is None else {f}" if f in lists else f for f in fields}
-        frozen = cls.__setattr__ is Record.__setattr__
+        mutable = cls.__setattr__ is object.__setattr__
+        store = " self.{0} = {1}\n" if mutable else " _set_{0}(self, {1})\n"
         mine = "(" + "".join(f"self.{f}, " for f in fields) + ")"  # a dataclass hashes 1-tuples
         source = (
             f"def __init__(self, {', '.join(fields)}):\n"
-            + "".join(f" _set_{f}(self, {v})\n" if frozen else f" self.{f} = {v}\n"
-                      for f, v in values.items())
+            + "".join(store.format(f, v) for f, v in values.items())
             + (" self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
             + "def __eq__(self, other):\n"
             " if other.__class__ is not self.__class__:\n"

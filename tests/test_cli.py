@@ -101,6 +101,12 @@ def test_n_below_two_is_a_domain_error(capsys, n):
     assert (code, out, err) == (2, "", f"cutseq: need at least 2 side pairs, got {n}\n")
 
 
+def test_n_below_two_is_refused_before_a_usage_error(capsys):
+    # --i without --j is a usage error (exit 1), but --n is checked before any subcommand runs
+    code, out, err = run(capsys, "check-coherence", "--word", "AB", "--i", "0", "--n", "1")
+    assert (code, out, err) == (2, "", "cutseq: need at least 2 side pairs, got 1\n")
+
+
 def test_check_coherence_incoherent_word(capsys):
     doc = run_json(
         capsys, "check-coherence", "--word", "per:CCCBDBCCBDBCCBDBCBDADB", "--i", "0",
@@ -474,23 +480,25 @@ def test_n_below_two_has_one_refusal_in_every_command(capsys, argv, n):
     assert (code, out, err) == (2, "", f"cutseq: need at least 2 side pairs, got {n}\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["expand-direction", "--theta", "pi/2"],
-        ["expand-direction", "--theta", "pi/2", "--depth", "6"],
-        ["enumerate", "--theta", "pi/2", "--len", "3"],
-    ],
-)
-def test_sector_end_angle_expands(capsys, argv):
+@pytest.mark.parametrize("depth", [[], ["--depth", "6"]])
+def test_sector_end_angle_expands(capsys, depth):
     # pi/2 starts sector 4 of the octagon; its images round off the fixed point pi
-    doc = run_json(capsys, *argv)
-    if "itinerary" in doc:
-        assert doc["itinerary"][:2] == [4, 7]
-        assert 0 not in doc["itinerary"][1:]
+    doc = run_json(capsys, "expand-direction", "--theta", "pi/2", *depth)
+    assert doc["itinerary"][:2] == [4, 7]
+    assert 0 not in doc["itinerary"][1:]
 
 
-@pytest.mark.parametrize("text", ["pipi/2", "pi*pi/16", "pi3/8", "2**pi/4", "pi/0", "*pi/2"])
+def test_sector_end_angle_enumerates_as_its_exact_direction(capsys):
+    float_doc = run_json(capsys, "enumerate", "--theta", "pi/2", "--len", "3", "--timestamp", "T")
+    exact_doc = run_json(capsys, "enumerate", "--cot", "0", "--len", "3", "--timestamp", "T")
+    assert float_doc["count"] == 10
+    assert float_doc["factors"] == exact_doc["factors"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["pipi/2", "pi*pi/16", "pi3/8", "2**pi/4", "pi/0", "*pi/2", "pi / 8", "3 * pi / 8", "1e-1*pi"],
+)
 def test_malformed_angle_is_usage_error(capsys, text):
     code, out, err = run(capsys, "trace", "--theta", text)
     assert (code, out) == (1, "")

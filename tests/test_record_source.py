@@ -3,7 +3,8 @@
 The source of every module is read: no record writes its own __init__, only
 PeriodicWord its own == and hash (equality up to rotation), and no module but
 symbolic fills a slot by hand.  Each compiled __init__ takes the parameters of
-the dataclass twin in tests/test_records.py, in order, with the same defaults.
+the dataclass twin in tests/test_records.py, in order, with the same defaults,
+and assigns its fields only where the record is mutable.
 """
 
 import ast
@@ -55,3 +56,12 @@ def test_init_signature_matches_the_twin(case):
         ]
 
     assert bare(case.cls) == bare(twin(case))
+
+
+def test_only_mutable_records_assign_in_init():
+    # assignment takes half the time of a slot's __set__, which a frozen record needs
+    mutable = {c.cls.__name__ for c in CASES if c.cls.__setattr__ is object.__setattr__}
+    assert mutable == {"TraceLog", "RenormalizationTrace"}
+    for case in CASES:
+        calls = {n for n in case.cls.__init__.__code__.co_names if n.startswith("_set_")}
+        assert bool(calls) is (case.cls.__name__ not in mutable), case.cls.__name__
