@@ -47,14 +47,22 @@ def farey_branch(i: int, n: int) -> FareyBranch:
 def farey_apply(d: Direction, n: int) -> tuple[Direction, int]:
     """One step of the renormalization map; returns the image and the sector used.
 
-    Every branch maps onto [pi/2n, pi]: a float image below pi/2n rounded off
-    an end (pi/2n, or pi across to near 0) and is read as that end.
+    Every branch maps onto [pi/2n, pi], so a float image is read by `_in_range`.
     """
     sector = sector_of(d, n)
-    image = moebius_apply(farey_branch(sector, n).matrix, d)
+    return _in_range(moebius_apply(farey_branch(sector, n).matrix, d), n), sector
+
+
+def _in_range(image: Direction, n: int) -> Direction:
+    """A direction in [pi/2n, pi]: a float one below pi/2n rounded off an end, read as it.
+
+    The end is pi/2n, or pi across the 0|pi seam to near 0: where a branch fixes
+    the horizontal, its lower-left entry (0 exactly) rounds to a few 1e-16, and
+    if that outweighs sin(pi) ~ 1.2e-16 with the other sign, pi's image has y < 0.
+    """
     if isinstance(image, ApproxDirection) and image.theta < math.pi / (2 * n):
-        image = ApproxDirection(math.pi if image.theta < math.pi / (4 * n) else math.pi / (2 * n))
-    return image, sector
+        return ApproxDirection(math.pi if image.theta < math.pi / (4 * n) else math.pi / (2 * n))
+    return image
 
 
 def itinerary(d: Direction, n: int, depth: int) -> tuple[int, ...]:
@@ -147,17 +155,7 @@ class SectorInterval(Record):
 
 
 def _order(a: Direction, b: Direction) -> tuple[Direction, Direction]:
-    """(a, b) by increasing angle.
-
-    Off the horizontal the angle falls as cot = x grows, so two such exact
-    directions compare their x directly, without angle_key's negated scalar.
-    """
-    if (
-        isinstance(a, ExactDirection)
-        and isinstance(b, ExactDirection)
-        and not (a.is_horizontal or b.is_horizontal)
-    ):
-        return (a, b) if b.x <= a.x else (b, a)
+    """(a, b) by increasing angle."""
     return (a, b) if a.angle_key() <= b.angle_key() else (b, a)
 
 
@@ -171,20 +169,31 @@ def sector_interval(prefix: tuple[int, ...] | list[int], n: int = 4) -> SectorIn
 
     The innermost sector is pulled back through the inverse branches of the
     remaining entries; nesting under prefix extension is automatic because each
-    pullback lands inside its branch's sector.  Exact ends are pulled back as
-    integer vectors (`moebius_chain`), normalized and ordered once.
+    pullback lands inside its branch's sector.  The two ends are pulled back
+    (`_pull_back`) and ordered once.
     """
     prefix = tuple(prefix)
     _check_prefix(prefix, n)
     lo, hi = _sector_endpoints(prefix[-1], n)
-    inverses = _inverse_branches(prefix[:-1], n)
-    lo, hi = _order(moebius_chain(inverses, lo), moebius_chain(inverses, hi))
+    lo, hi = _order(_pull_back(prefix[:-1], lo, n), _pull_back(prefix[:-1], hi, n))
     return SectorInterval(lo, hi, prefix, n)
 
 
-def _inverse_branches(entries: tuple[int, ...], n: int) -> list[Mat2]:
-    """The inverse branches of the entries, last entry first: the order they pull back in."""
-    return [_inverse_branch(entry, n) for entry in reversed(entries)]
+def _pull_back(entries: tuple[int, ...], d: Direction, n: int) -> Direction:
+    """d pulled back through the inverse branches of the entries, last entry first.
+
+    An exact direction goes through `moebius_chain` as one integer vector.  A
+    float one goes one branch at a time, and the inverse of branch 2n-1, whose
+    sector ends at pi, can wrap its image of pi across the seam: that image is
+    read by `_in_range`, as the forward images are.
+    """
+    if isinstance(d, ExactDirection):
+        return moebius_chain([_inverse_branch(entry, n) for entry in reversed(entries)], d)
+    for entry in reversed(entries):
+        d = moebius_apply(_inverse_branch(entry, n), d)
+        if entry == 2 * n - 1:
+            d = _in_range(d, n)
+    return d
 
 
 def fixed_point(tail: int, n: int) -> Direction:
@@ -205,7 +214,7 @@ def direction_from_expansion(exp: Expansion, depth: int) -> SectorInterval:
     if not exp.in_s_star:
         raise InvalidPrefixError(f"expansion {exp.entries} (tail {exp.tail}) not valid")
     if exp.tail is not None:
-        point = moebius_chain(_inverse_branches(exp.entries, n), fixed_point(exp.tail, n))
+        point = _pull_back(exp.entries, fixed_point(exp.tail, n), n)
         return SectorInterval(point, point, exp.prefix(depth), n)
     return sector_interval(exp.prefix(depth), n)
 

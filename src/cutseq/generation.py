@@ -3,12 +3,13 @@
 Deriving a word admissible in sector 0 leaves a word admissible in some sector
 k >= 1; generation undoes this by re-inserting, between every pair of adjacent
 letters, a fixed interpolating word.  The interpolating word for an edge
-L1 -> L2 of the sector-k diagram is synthesized, not transcribed: it is the
-unique sandwich-free path from L1 to L2 through the sector-0 diagram whose
-first and last letters sandwich L1 and L2 according to the sandwich group of
-index floor(k/2).  Chaining generation operators along an expansion prefix
-builds the word families whose factors exhaust the cutting sequences of a
-direction.
+L1 -> L2 of the sector-k diagram is read off the sector-0 diagram, not
+transcribed: a path through that diagram that sandwiches no letter is a
+stretch of its walk (`symbolic.sector0_walk`, ADBCCBDA for the octagon), and
+the word is the inside of the one stretch from L1 to L2 whose letters next to
+L1 and L2 sandwich them according to the sandwich group of index floor(k/2).
+Chaining generation operators along an expansion prefix builds the word
+families whose factors exhaust the cutting sequences of a direction.
 
 Generation works on the whole text with `str.replace`: for each edge a -> b
 with a non-empty interpolating word w, every pair ab becomes a + w.lower() + b.
@@ -29,7 +30,6 @@ from .symbolic import (
     PeriodicWord,
     Record,
     SectorIndexError,
-    TransitionDiagram,
     Wordlike,
     WordWindow,
     _held,
@@ -41,6 +41,7 @@ from .symbolic import (
     letter_at,
     letters_for,
     permute,
+    sector0_walk,
     sector_permutation,
     word_text,
 )
@@ -65,32 +66,6 @@ def sandwich_group(l: int, n: int) -> dict[str, str]:
             for j in range(1, n + 1)}
 
 
-def _sandwich_free_paths(d0: TransitionDiagram, u: str, v: str, cap: int) -> list[str]:
-    """All paths u -> v in the sector-0 diagram with no sandwiched interior letter.
-
-    Paths are returned as full vertex strings including both endpoints.  The
-    no-sandwich invariant prunes the search: appending x after ...y,z is only
-    allowed when y != x (else z would be sandwiched).  The cap guards against a
-    runaway search; it is never reached for the diagrams produced here.
-    """
-    found: list[str] = []
-    stack: list[str] = [u]
-
-    def extend(path: str) -> None:
-        if len(path) > cap:
-            raise SynthesisFailure("interpolation path search exceeded its length cap")
-        if len(path) >= 2 and path[-1] == v:
-            found.append(path)
-            # a longer continuation may also end at v, so keep searching
-        for nxt in d0.successors(path[-1]):
-            if len(path) >= 2 and path[-2] == nxt:
-                continue  # would sandwich the current last letter
-            extend(path + nxt)
-
-    extend(u)
-    return found
-
-
 class InterpolationTable(Record):
     """Interpolating words for every edge of every sector diagram k = 1..2n-1."""
 
@@ -110,28 +85,24 @@ def synthesize_table(n: int) -> InterpolationTable:
     """Build the full interpolation table for alphabet size n >= 3.
 
     For each sector k and each edge L1 -> L2 of its diagram, exactly one
-    sandwich-free sector-0 path must match the sandwich group floor(k/2) at
-    both ends: an empty insertion needs L1 to sandwich L2 and vice versa, a
-    non-empty one must start with the sandwiching letter of L1 and end with
-    the sandwiching letter of L2.
+    stretch of the sector-0 walk from L1 to L2 must match the sandwich group
+    floor(k/2) at both ends: its second letter must sandwich L1 and its last
+    but one L2.  The word is the stretch's inner letters; when there are none,
+    those two letters are L2 and L1, which must sandwich each other.
     """
     if n < 3:
         raise CutseqError("generation needs an alphabet of at least 3 letters")
-    letters_for(n)
-    d0 = build_diagram(0, n)
+    walk = sector0_walk(n)
     words: dict[tuple[int, str, str], str] = {}
     for k in range(1, 2 * n):
         group = sandwich_group(k // 2, n)
         for a, b in build_diagram(k, n).edges:
-            candidates = []
-            for path in _sandwich_free_paths(d0, a, b, cap=2 * n + 4):
-                mid = path[1:-1]
-                if mid:
-                    ok = mid[0] == group[a] and mid[-1] == group[b]
-                else:
-                    ok = a == group[b] and b == group[a]
-                if ok:
-                    candidates.append(mid)
+            candidates = [
+                walk[p + 1 : q]
+                for p in (walk.find(a), walk.rfind(a))
+                for q in (walk.find(b), walk.rfind(b))
+                if p < q and walk[p + 1] == group[a] and walk[q - 1] == group[b]
+            ]
             if len(candidates) != 1:
                 raise SynthesisFailure(
                     f"edge {a}->{b} of diagram {k}: {len(candidates)} candidate "

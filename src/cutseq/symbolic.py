@@ -563,23 +563,34 @@ def sector_permutation(i: int, n: int) -> LetterPermutation:
     return LetterPermutation(images)
 
 
+def sector0_walk(n: int) -> str:
+    """The sector-0 diagram as one walk of 2n letters that reads the same backwards.
+
+    The diagram's edges are two involutions, j -> n+1-j and j -> n+2-j (the
+    second undefined at 1).  Applied in turn from L1 they give L1, Ln, L2,
+    L(n-1), ..., Ln, L1: the letters interleaved with their reverse, ADBCCBDA
+    for the octagon.  The diagram is a chain from L1 with a loop at its far end,
+    where the walk turns; each edge is one adjacent pair of the walk, and a path
+    that sandwiches no letter applies the involutions in turn, so it is a
+    stretch of the walk.
+    """
+    letters = letters_for(n)
+    return "".join(map(str.__add__, letters, letters[::-1]))
+
+
 @lru_cache(maxsize=None)
 def build_diagram(i: int, n: int) -> TransitionDiagram:
     """Transition diagram for trajectories with direction in sector i.
 
-    Sector 0 has the edges L_j -> L_(n+1-j) for every j and L_j -> L_(n+2-j)
-    for j >= 2 (for n = 2 this is the square pair A<->B plus the B loop); the
-    diagram for sector i is the sector-0 diagram with every vertex relabelled
-    by the inverse of the renormalizing permutation.
+    Sector 0's edges are the adjacent pairs of its walk (`sector0_walk`): L_j ->
+    L_(n+1-j) for every j and L_j -> L_(n+2-j) for j >= 2 (for n = 2 the square
+    pair A<->B plus the B loop); the diagram for sector i is the sector-0
+    diagram with every vertex relabelled by the inverse of the renormalizing
+    permutation.
     """
     check_sector(i, n)
-    letters_for(n)
-    base = set()
-    for j in range(1, n + 1):
-        base.add((letter_at(j), letter_at(n + 1 - j)))
-        if j >= 2:
-            base.add((letter_at(j), letter_at(n + 2 - j)))
-    d0 = TransitionDiagram(n, 0, frozenset(base))
+    walk = sector0_walk(n)
+    d0 = TransitionDiagram(n, 0, frozenset(zip(walk, walk[1:])))
     if i == 0:
         return d0
     relabelled = d0.relabel(sector_permutation(i, n).inverse())

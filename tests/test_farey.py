@@ -122,6 +122,25 @@ def test_itinerary_zero_only_first_at_sector_ends():
                     assert 0 not in seq[1:], (n, k, t, seq)
 
 
+@pytest.mark.parametrize("n", range(2, 27))
+def test_float_cylinder_contains_its_direction(n):
+    # every angle k pi/2n and its two neighbouring floats, at three depths: an end
+    # pulled back through branch 2n-1 that wraps from pi to near 0 is read as pi
+    for k in range(2 * n + 1):
+        theta = k * math.pi / (2 * n)
+        for t in (math.nextafter(theta, 0.0), theta, math.nextafter(theta, 4.0)):
+            if 0.0 <= t <= math.pi:
+                for depth in (1, 4, 8):
+                    prefix = itinerary(ApproxDirection(t), n, depth)
+                    assert sector_interval(prefix, n).contains_theta(t), (n, t, prefix)
+
+
+def test_float_fixed_point_pullback_stays_at_pi():
+    # n = 13: branch 2n-1's inverse sends pi to 2e-16 in floats
+    iv = direction_from_expansion(Expansion(13, (25, 25), 25), 4)
+    assert iv.theta_bounds() == (math.pi, math.pi)
+
+
 def test_itinerary_matches_exact_shadow():
     # the floating pipeline follows the exact one for many steps
     rng = random.Random(4)

@@ -91,6 +91,14 @@ def test_table_defining_constraint():
                     assert derive(chunk) == l
 
 
+def test_tables_keep_their_digest():
+    # every table for n = 3..26, as the sandwich-free path search built them
+    tables = repr([sorted(synthesize_table(n).words.items()) for n in range(3, 27)])
+    assert hashlib.sha256(tables.encode()).hexdigest() == (
+        "0224d8d08ff5567bc17da76293ee3c683af1629bd3ff4cc456167f5ec0e0d567"
+    )
+
+
 def test_table_rejects_binary_alphabet():
     with pytest.raises(ValueError):
         synthesize_table(2)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cutseq.symbolic import (
+    LETTERS,
     AmbiguousDiagramError,
     CutseqError,
     InadmissibleWordError,
@@ -24,6 +25,7 @@ from cutseq.symbolic import (
     parse_word,
     permute,
     primitive_period,
+    sector0_walk,
     sector_permutation,
     square_derive,
     transitions,
@@ -41,6 +43,37 @@ def edges(i, n=4):
 
 def test_diagram_zero_octagon():
     assert edges(0) == ["AD", "BC", "BD", "CB", "CC", "DA", "DB"]
+
+
+@pytest.mark.parametrize("n", range(2, 27))
+def test_sector0_walk_is_a_palindrome_of_2n_letters(n):
+    walk = sector0_walk(n)
+    assert len(walk) == 2 * n and walk == walk[::-1]
+
+
+@pytest.mark.parametrize("n", range(2, 27))
+def test_sector0_walk_first_half_holds_each_letter_once(n):
+    assert sorted(sector0_walk(n)[:n]) == sorted(LETTERS[:n])
+
+
+@pytest.mark.parametrize("n", range(2, 27))
+def test_sector0_walk_pairs_are_the_diagram_edges(n):
+    # the walk applies j -> n+1-j and j -> n+2-j in turn from L1, and its adjacent
+    # pairs, either way round, are the edges those two involutions draw
+    walk = [ord(c) - 64 for c in sector0_walk(n)]
+    assert walk[0] == 1
+    assert all(walk[m + 1] == (n + 1 if m % 2 == 0 else n + 2) - walk[m]
+               for m in range(2 * n - 1))
+    pairs = set(zip(sector0_walk(n), sector0_walk(n)[1:]))
+    assert pairs | {(b, a) for a, b in pairs} == build_diagram(0, n).edges
+    involutions = {(chr(64 + j), chr(64 + n + 1 - j)) for j in range(1, n + 1)}
+    involutions |= {(chr(64 + j), chr(64 + n + 2 - j)) for j in range(2, n + 1)}
+    assert pairs == involutions
+
+
+def test_octagon_walk():
+    # the chain A-D-B-C with its loop at C, walked there and back
+    assert sector0_walk(4) == "ADBCCBDA"
 
 
 def test_diagram_four_contains_double_a():
