@@ -403,19 +403,15 @@ def moebius_apply(m: Mat2, d: Direction) -> Direction:
     return ApproxDirection(t if t >= 0 else t + math.pi)
 
 
-def moebius_chain(matrices, d: Direction) -> Direction:
-    """The direction moebius_apply gives for each matrix in turn, first to last.
+def moebius_chain(matrices, d: ExactDirection) -> ExactDirection:
+    """The exact direction moebius_apply gives for each matrix in turn, first to last.
 
-    An exact direction goes through the chain as one integer vector over
-    Z[sqrt 2], not normalized or reduced between matrices: each step only turns
-    it into the upper half plane (one exact sign), which keeps the sign of a
-    horizontal image as moebius_apply's normalized (+-1, 0) would.  It is
-    normalized and reduced once at the end.
+    The direction goes through the chain as one integer vector over Z[sqrt 2],
+    not normalized or reduced between matrices: each step only turns it into the
+    upper half plane (one exact sign), which keeps the sign of a horizontal image
+    as moebius_apply's normalized (+-1, 0) would.  It is normalized and reduced
+    once at the end.
     """
-    if not isinstance(d, ExactDirection):
-        for m in matrices:
-            d = moebius_apply(m, d)
-        return d
     xp, xq, yp, yq = _vector(d)
     for m in matrices:
         xp, xq, yp, yq = _act(_exact_ints(m), xp, xq, yp, yq)
