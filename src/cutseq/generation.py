@@ -71,14 +71,6 @@ class InterpolationTable(Record):
 
     __slots__ = _fields = ("n", "words")  # words: {(k, a, b): word}
 
-    def word(self, k: int, a: str, b: str) -> str:
-        try:
-            return self.words[(k, a, b)]
-        except KeyError:
-            raise InadmissibleWordError(
-                f"{a}->{b} is not an edge of diagram {k} (n={self.n})"
-            ) from None
-
 
 @lru_cache(maxsize=None)
 def synthesize_table(n: int) -> InterpolationTable:

@@ -233,7 +233,7 @@ def sector_boundary(k: int, n: int):
     return ApproxDirection(math.pi if k == 2 * n else k * (math.pi / (2 * n)))
 
 
-def sector_of(d, n: int) -> int:
+def sector_of(d: ExactDirection | ApproxDirection, n: int) -> int:
     """Index i of the half-open sector [i pi/2n, (i+1) pi/2n) holding d.
 
     The last sector is closed so that the angle pi lands in sector 2n-1; the
@@ -252,6 +252,5 @@ def sector_of(d, n: int) -> int:
             if mu > bound:
                 return i
         return 2 * n - 1
-    theta = d.theta if isinstance(d, ApproxDirection) else float(d)
-    i = int(math.floor(theta * (2 * n) / math.pi))
+    i = int(math.floor(d.theta * (2 * n) / math.pi))
     return min(max(i, 0), 2 * n - 1)

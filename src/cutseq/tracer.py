@@ -8,30 +8,13 @@ floats (a vertex hit is within epsilon of a vertex) or over exact Q(sqrt 2)
 coordinates for n in {2, 4} (a vertex hit is exact).  One crossing is one
 bisect, one append and one addition to s.
 
-Exact runs hold s, the interval ends E_0 < ... < E_m and the shifts as
-integer pairs (P, Q) for (P + Q sqrt2) / D over one common denominator D, so a
-crossing adds two ints and s needs no gcd.  The bisect is filtered (Shewchuk
-1997; Broennimann, Burnikel and Pion 2001): it runs on float keys
-fl(P/D) + fl(fl(Q/D) * fl(sqrt2)), and the exact sign of a difference of pairs
-decides only when the key of s lies within the filter's bound of a
-neighbouring end's key.  The bound: a key rounds five times, so with u = 2^-53
-it lies within 2.01u|P|/D + 4.02u|Q|sqrt2/D <= 4.1u M/D of its value, where
-M = |P| + |Q| sqrt2.  The error grows with M, not with the value, because P and
-Q may be large and cancel; a fixed number of ulp would not do.  The filter
-tol = 8u (|P| + r|Q| + max over the ends of |P_e| + r|Q_e|) / D, with the
-integer r above sqrt2, covers the errors of a key and an end plus the
-roundings of tol and of their difference, so a key farther than tol from both
-neighbouring keys lies strictly between their ends.  bisect returns such
-neighbours, keys[j - 1] <= key < keys[j], even where rounding puts the keys of
-two close ends out of order.  The largest end is of the polygon's size, so tol
-is also far above the absolute error of a subnormal rounding, and s exactly on
-an end (a vertex) always lies within tol and is decided exactly.
-
-An exact period is the first exact return (P, Q) = (P0, Q0), found with one
-comparison per crossing.  The run stops there and tiles its path, word and
-crossing log up to the budget.  No vertex can be hit after that return: from
-it on, s runs through s_0, s_1, ... again, and each of those was located
-strictly inside an interval.
+An exact run holds s, the interval ends and the shifts as Q2Scalar and needs
+only their exact order, equality and sum: each crossing bisects s among the
+ends, where s on an end is a vertex.  An exact period is the first exact
+return s = s_0, found with one comparison per crossing.  The run stops there
+and tiles its path, word and crossing log up to the budget.  No vertex can be
+hit after that return: from it on, s runs through s_0, s_1, ... again, and
+each of those was located strictly inside an interval.
 
 Long float runs take K crossings per bisect, in a table of the power T^K (the
 symbolic side of Rauzy-Veech induction), built by doubling and used from 5000
@@ -49,22 +32,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect
+from bisect import bisect, bisect_left
 from fractions import Fraction
 from functools import partial
 
-from .exact_arith import (
-    ONE,
-    RADICAND,
-    SQRT2_FLOAT,
-    ZERO,
-    Direction,
-    ExactDirection,
-    Q2Scalar,
-    _over_one_denominator,
-    _sign,
-    direction_theta,
-)
+from .exact_arith import ONE, ZERO, Direction, ExactDirection, Q2Scalar, direction_theta
 from .polygon import LabeledPolygon, _outward
 from .symbolic import CutseqError, Record, check_count
 
@@ -128,8 +100,8 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
     """(word, path, period, replay): the ray as an interval exchange.
 
     The exchange is built once (`_exchange`) and then iterated into the path,
-    the bisect index of each crossing: over Q(sqrt 2) on ints over one
-    denominator, up to the first exact return of s and tiled from there
+    the bisect index of each crossing: over Q(sqrt 2) one exact bisect per
+    crossing, up to the first exact return of s and tiled from there
     (`_exact_steps`, which gives that return as `period`; None over floats),
     over floats K crossings per lookup in a table of T^K (`_iterate`).  The
     table's pieces keep a margin of 8(K + 2) ulp from every s whose float orbit
@@ -206,66 +178,40 @@ def _steps(path: bytearray, bounds: list, shifts: list, s: float, count: int) ->
     return s, None
 
 
-# the exact bisect's float filter, 8 ulp of the scale M / D (module docstring)
-_FILTER = 8 * 2.0**-53
-_ROOT_CEIL = math.isqrt(RADICAND) + 1  # an integer above sqrt(RADICAND)
-
-
 def _exact_steps(bounds: list, shifts: list, s0: Q2Scalar, budget: int) -> tuple:
-    """(path, band, period) of `budget` exact crossings, on ints over one denominator.
+    """(path, band, period) of `budget` exact crossings, one exact bisect each.
 
     With bands of width 0 the bounds are the interval ends (`bounds[::2]` and
-    `bounds[-1]`).  Each crossing takes the float bisect index unless the key
-    of s lies within the filter's bound of a neighbouring end's key (the module
-    docstring gives the bound), and then the exact one (`_exact_index`).  band
-    is the even index of the first vertex hit, at crossing len(path), or None.
-    period is the crossing of the first exact return of s, from which the path
-    is tiled up to the budget, or None.
+    `bounds[-1]`), among which `_exact_index` locates s.  band is the even
+    index of the first vertex hit, at crossing len(path), or None.  period is
+    the crossing of the first exact return of s, from which the path is tiled
+    up to the budget, or None.
     """
     ends = bounds[::2] + bounds[-1:]
-    m = len(ends) - 1
-    den, ints = _over_one_denominator([s0, *ends, *shifts])
-    p0, q0 = ints[0], ints[1]
-    end_ps, end_qs = ints[2:2 * m + 4:2], ints[3:2 * m + 4:2]
-    shift_ps, shift_qs = ints[2 * m + 4::2], ints[2 * m + 5::2]
-    r = _ROOT_CEIL
-    end_scale = max(abs(p) + r * abs(q) for p, q in zip(end_ps, end_qs))
-    # keys[j - 1] <= key < keys[j]: below E_0 (index 0), in interval j - 2, or from E_m on
-    keys = [-math.inf, *(p / den + q / den * SQRT2_FLOAT for p, q in zip(end_ps, end_qs)),
-            math.inf]
-    slots = [0, 0, *range(1, 2 * m, 2), 2 * m]
     path = bytearray()
     add = path.append
-    p, q = p0, q0
+    s = s0
     for crossing in range(1, budget + 1):
-        key = p / den + q / den * SQRT2_FLOAT
-        j = bisect(keys, key)
-        tol = (abs(p) + r * abs(q) + end_scale) / den * _FILTER
-        if key - keys[j - 1] <= tol or keys[j] - key <= tol:
-            i = _exact_index(p, q, end_ps, end_qs)
-        else:
-            i = slots[j]
+        i = _exact_index(s, ends)
         if not i & 1:
             return path, i, None
         add(i)
-        p += shift_ps[i]
-        q += shift_qs[i]
-        if p == p0 and q == q0:
+        s += shifts[i]
+        if s == s0:
             return (path * -(-budget // crossing))[:budget], None, crossing
     return path, None, None
 
 
-def _exact_index(p: int, q: int, end_ps: list, end_qs: list) -> int:
-    """The bisect index of s = (p + q sqrt2) / D among the ends, where s on an end is a vertex.
+def _exact_index(s: Q2Scalar, ends: list) -> int:
+    """The bisect index of s among the ends E_0 < ... < E_m, where s on an end is a vertex.
 
     2j - 1 strictly inside interval j - 1, 2j on the end E_j (a vertex), 0
     below E_0 and 2m above E_m: what a bisect over bands of width 0 gives.
     """
-    for j, (end_p, end_q) in enumerate(zip(end_ps, end_qs)):
-        sign = _sign(p - end_p, q - end_q)
-        if sign <= 0:
-            return 2 * j - 1 if sign and j else 2 * j
-    return 2 * (len(end_ps) - 1)
+    j = bisect_left(ends, s)
+    if 0 < j < len(ends) and ends[j] != s:
+        return 2 * j - 1
+    return 2 * min(j, len(ends) - 1)
 
 
 # K by budget.  Building T^K costs 0.16-0.31 ms at K = 16 and 0.7-1.0 ms at 64,

@@ -1,10 +1,13 @@
+import ast
 import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cutseq
 from cutseq.exact_arith import (
     ApproxDirection,
     ExactDirection,
@@ -213,3 +216,24 @@ def test_float_matrix_on_exact_direction_is_refused_with_one_text(act):
     with pytest.raises(TypeError) as info:
         act(isometry_nu(1, 6), ExactDirection.from_cot(1))
     assert str(info.value) == "exact direction needs a matrix with Q(sqrt 2) entries"
+
+
+def test_only_exact_arith_knows_the_integer_format():
+    # the radicand, its float root and the private integer routines stay in one module,
+    # so a new quadratic field changes exact_arith alone
+    sources = sorted(Path(cutseq.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    leaks = []
+    for path in sources:
+        if path.name == "exact_arith.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "exact_arith", "cutseq.exact_arith"
+            ):
+                leaks += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name in ("RADICAND", "SQRT2_FLOAT") or alias.name.startswith("_")
+                ]
+    assert leaks == []

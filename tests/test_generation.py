@@ -49,23 +49,23 @@ def test_sandwich_groups_octagon():
 
 def test_table_entries_sector_three():
     t = synthesize_table(4)
-    assert t.word(3, "D", "B") == "BCC"
-    assert t.word(3, "A", "A") == "DBCCBD"
-    assert t.word(3, "A", "B") == "DBCC"
-    assert t.word(3, "B", "A") == "CCBD"
-    assert t.word(3, "C", "D") == "B"
-    assert t.word(3, "B", "D") == "CCB"
+    assert t.words[(3, "D", "B")] == "BCC"
+    assert t.words[(3, "A", "A")] == "DBCCBD"
+    assert t.words[(3, "A", "B")] == "DBCC"
+    assert t.words[(3, "B", "A")] == "CCBD"
+    assert t.words[(3, "C", "D")] == "B"
+    assert t.words[(3, "B", "D")] == "CCB"
 
 
 def test_table_entries_sector_six():
     t = synthesize_table(4)
-    assert t.word(6, "B", "A") == "D"
-    assert t.word(6, "A", "B") == "D"
-    assert t.word(6, "D", "D") == "BCCB"
-    assert t.word(6, "A", "C") == "DBC"
-    assert t.word(6, "C", "A") == "CBD"
-    assert t.word(6, "C", "D") == "CB"
-    assert t.word(6, "D", "C") == "BC"
+    assert t.words[(6, "B", "A")] == "D"
+    assert t.words[(6, "A", "B")] == "D"
+    assert t.words[(6, "D", "D")] == "BCCB"
+    assert t.words[(6, "A", "C")] == "DBC"
+    assert t.words[(6, "C", "A")] == "CBD"
+    assert t.words[(6, "C", "D")] == "CB"
+    assert t.words[(6, "D", "C")] == "BC"
 
 
 def test_table_total_over_all_edges():
@@ -73,7 +73,7 @@ def test_table_total_over_all_edges():
         t = synthesize_table(n)
         for k in range(1, 2 * n):
             for a, b in build_diagram(k, n).edges:
-                t.word(k, a, b)  # raises if missing
+                assert (k, a, b) in t.words
 
 
 def test_table_defining_constraint():
@@ -86,7 +86,7 @@ def test_table_defining_constraint():
             dk = build_diagram(k, n)
             for l0, l in dk.edges:
                 for l2 in dk.successors(l):
-                    chunk = l0 + t.word(k, l0, l) + l + t.word(k, l, l2) + l2
+                    chunk = l0 + t.words[(k, l0, l)] + l + t.words[(k, l, l2)] + l2
                     assert d0.admits(chunk)
                     assert derive(chunk) == l
 

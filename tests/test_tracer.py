@@ -214,16 +214,10 @@ def test_exact_filter_decides_ties_and_near_ties_exactly():
         with mock.patch.object(tracer, "_exact_index", wraps=tracer._exact_index) as exact:
             path, band, period = tracer._exact_steps(_BOUNDS, _SHIFTS, s0, 30)
         assert (path, band) == ref and period is None
-        assert exact.called  # the first key lies within the filter's bound of an end
+        assert exact.called  # every crossing, the first included, takes the exact bisect
     # just above the end 1: interval 1 (index 3); just below: interval 0 (index 1)
     assert tracer._exact_steps(_BOUNDS, _SHIFTS, q2(1) + tiny / 7, 1)[0] == bytearray([3])
     assert tracer._exact_steps(_BOUNDS, _SHIFTS, q2(1) - tiny / 7, 1)[0] == bytearray([1])
-
-
-def test_exact_filter_leaves_keys_far_from_every_end_to_floats():
-    with mock.patch.object(tracer, "_exact_index", wraps=tracer._exact_index) as exact:
-        path, band, period = tracer._exact_steps(_BOUNDS, _SHIFTS, q2(Fraction(1, 2)), 1)
-    assert (path, band, period) == (bytearray([1]), None, None) and not exact.called
 
 
 def test_generic_direction_has_no_short_recurrence():
