@@ -252,6 +252,8 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_check_coherence(args) -> dict:
+    if args.depth < 0:
+        raise UsageError(f"argument --depth: must be >= 0, got {args.depth}")
     if (args.i is None) != (args.j is None):
         raise UsageError("give both of --i and --j, or neither")
     w = parse_word(args.word, args.n)

@@ -34,6 +34,7 @@ from .symbolic import (
     admissible_diagrams,
     build_diagram,
     check_count,
+    check_sector,
     derive,
     is_exhausted,
     permute,
@@ -74,7 +75,11 @@ class CoherenceVerdict(Record):
 
 
 def check_coherent(w: Wordlike, i: int, j: int, n: int = 4) -> CoherenceVerdict:
-    """Conditions C0..C3 for the pair (i, j); rejection names the first failure."""
+    """Conditions C0..C3 for the pair (i, j); rejection names the first failure.
+
+    Both must be sector indices; j = 0 is one that no derived word can take (C2).
+    """
+    check_sector(j, n)
     if not build_diagram(i, n).admits(w):
         return CoherenceVerdict(False, "C0")
     nw = permute(sector_permutation(i, n), w)
@@ -82,7 +87,7 @@ def check_coherent(w: Wordlike, i: int, j: int, n: int = 4) -> CoherenceVerdict:
     if not groups:
         return CoherenceVerdict(False, "C1", ())
     derived = derive(nw)
-    if derived is None or not 1 <= j <= 2 * n - 1 or not build_diagram(j, n).admits(derived):
+    if derived is None or j == 0 or not build_diagram(j, n).admits(derived):
         return CoherenceVerdict(False, "C2", groups)
     if j // 2 not in groups:
         return CoherenceVerdict(False, "C3", groups)
@@ -214,9 +219,12 @@ def renormalize(
     coherence with the previous step, which pins the entry except at the tail
     split of periodic words (where the itinerary form is chosen and the split
     recorded).  Halts early on inadmissibility, unresolvable ambiguity, or a
-    window running out of letters, reporting which.
+    window running out of letters, reporting which.  A given start_diagram
+    must be a sector index.
     """
     check_count(max_depth, "max_depth")
+    if start_diagram is not None:
+        check_sector(start_diagram, n)
     trace = RenormalizationTrace()
     cur: Wordlike | None = w
     for k in range(max_depth):

@@ -66,14 +66,14 @@ def _in_range(image: Direction, n: int) -> Direction:
 
 
 def itinerary(d: Direction, n: int, depth: int) -> tuple[int, ...]:
-    """Sector indices of d, F(d), F^2(d), ... with half-open sector convention."""
+    """Sector indices of d, F(d), F^2(d), ... with half-open sector convention.
+
+    They are read off the walk of `is_terminating`: an exact orbit stops there
+    at a branch fixed point, whose branch repeats for the rest of the depth.
+    """
     check_count(depth, "depth")
-    out = []
-    cur = d
-    for _ in range(depth):
-        cur, sector = farey_apply(cur, n)
-        out.append(sector)
-    return tuple(out)
+    term = is_terminating(d, n, depth)
+    return Expansion(n, term.itinerary, term.tail).prefix(depth)
 
 
 # -- expansions ---------------------------------------------------------------
@@ -230,8 +230,10 @@ class TerminationResult(Record):
 def is_terminating(d: Direction, n: int, max_depth: int) -> TerminationResult:
     """Detect an eventually constant expansion tail within max_depth steps.
 
+    This is the one walk of the Farey map; `itinerary` reads its entries.
     Exact directions (n in {2, 4}) give a proof: the orbit lands exactly on a
-    branch fixed point.  Floating directions are judged heuristically by a
+    branch fixed point, and the walk stops there, `depth` steps in.  Floating
+    directions walk all max_depth steps and are judged heuristically by a
     constant run over the last 10 sampled entries that sits on that fixed point.
     """
     check_count(max_depth, "max_depth")

@@ -57,7 +57,6 @@ pairs).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_ALPHABET = len(LETTERS)
@@ -748,33 +747,19 @@ def factor_count(w: Wordlike, length: int) -> int:
 
 
 def factor_counts_upto(word: str, max_length: int) -> dict[int, int]:
-    """Distinct-factor counts for every length 1..max_length, in one pass.
+    """Distinct-factor counts for every length 1..max_length.
 
     The factors of length L = max_length come from aligned blocks
-    (`_block_factors`).  Every factor of length l is a prefix of one of these
-    or of one of the L - 1 suffixes shorter than L, so the count of length l is
-    the number of depth-l nodes of the trie of those strings.  In sorted order,
-    a string opens one node at each depth beyond its longest common prefix with
-    its predecessor, up to its own length.
+    (`_block_factors`).  Each factor of length l < L is the prefix of a factor
+    of length l + 1, except the word's last l letters when they occur nowhere
+    else, so the set shrinks one length at a time: cut every factor by a
+    letter and add that suffix.
     """
-    m = len(word)
-    _check_factor_length(max_length, m, "max_length")
-    top = _block_factors(word, max_length)
-    # a difference array: the trie has sum(opened[: l + 1]) nodes at depth l
-    opened = [0] * (max_length + 2)
-    prev = ""
-    for s in sorted([*top, *(word[i:] for i in range(m - max_length + 1, m))]):
-        opened[_common_prefix_length(prev, s) + 1] += 1
-        opened[len(s) + 1] -= 1
-        prev = s
-    nodes = list(accumulate(opened))
-    counts = {max_length: len(top)}
-    counts.update(zip(range(1, max_length), nodes[1:max_length]))
+    _check_factor_length(max_length, len(word), "max_length")
+    factors = _block_factors(word, max_length)
+    counts = {max_length: len(factors)}
+    for length in range(max_length - 1, 0, -1):
+        factors = {f[:length] for f in factors}
+        factors.add(word[-length:])
+        counts[length] = len(factors)
     return counts
-
-
-def _common_prefix_length(a: str, b: str) -> int:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return min(len(a), len(b))

@@ -97,7 +97,7 @@ def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) ->
 
 
 def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
-    """(word, path, period, replay): the ray as an interval exchange.
+    """(word, period, replay): the ray as an interval exchange.
 
     The exchange is built once (`_exchange`) and then iterated into the path,
     the bisect index of each crossing: over Q(sqrt 2) one exact bisect per
@@ -136,7 +136,7 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
         for *_, point in replay():
             pass
         raise VertexHit(len(path), _vertex_side(point, sides, vx, vy, band, one))
-    return path.translate(codes).decode("ascii"), path, period, replay
+    return path.translate(codes).decode("ascii"), period, replay
 
 
 def _exchange(sides: list[tuple], vx, vy, eps, zero, one, letter) -> tuple[list, list, bytearray]:
@@ -333,7 +333,7 @@ def _vertex_side(point: tuple, sides: list[tuple], vx, vy, i: int, one) -> int:
 
 def trace(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple[str, TraceLog]:
     """Cutting sequence of max_crossings crossings, with the full crossing log."""
-    word, _, period, replay = _run(poly, start, d, cfg)
+    word, period, replay = _run(poly, start, d, cfg)
     # the log holds float points; an exact one repeats from its first return
     crossings = [Crossing(letter, (float(x), float(y)), k)
                  for letter, (_, k, _, (x, y), _) in zip(word[:period], replay())]
@@ -358,7 +358,7 @@ def detect_period(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -
     point.  The run is traced up to max_crossings or that return, after which
     no vertex can be met, so a vertex hit within max_crossings still raises.
     """
-    _, _, period, replay = _run(poly, start, d, cfg)
+    _, period, replay = _run(poly, start, d, cfg)
     if cfg.mode == "exact":
         return period if period is not None and period < cfg.max_crossings else None
     states = ((k, u) for _, k, u, _, _ in replay())

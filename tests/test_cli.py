@@ -387,6 +387,26 @@ def test_check_coherence_lone_i_or_j_is_usage_error(capsys, flag):
     assert err == "cutseq: error: give both of --i and --j, or neither\n"
 
 
+@pytest.mark.parametrize(
+    "flags", [["--i", "0", "--j", "99", "--depth", "0"], ["--start-diagram", "99"]]
+)
+def test_check_coherence_sector_outside_range_is_domain_error(capsys, flags):
+    code, out, err = run(
+        capsys, "check-coherence", "--word", "per:ADBCBCCBCBDADBCBCCBCCBCBD", *flags
+    )
+    assert (code, out, err) == (2, "", "cutseq: sector index 99 outside 0..7\n")
+
+
+@pytest.mark.parametrize("pair", [[], ["--i", "0", "--j", "1"]])
+def test_check_coherence_negative_depth_is_usage_error(capsys, pair):
+    code, out, err = run(
+        capsys, "check-coherence", "--word", "per:ADBCBCCBCBDADBCBCCBCCBCBD", "--depth", "-1",
+        *pair
+    )
+    assert (code, out) == (1, "")
+    assert err == "cutseq: error: argument --depth: must be >= 0, got -1\n"
+
+
 def test_seeds_sector_outside_range_is_domain_error(capsys):
     code, out, err = run(capsys, "seeds", "--k", "99")
     assert (code, out) == (2, "")

@@ -20,6 +20,7 @@ from cutseq.polygon import build_polygon
 from cutseq.symbolic import (
     AmbiguousDiagramError,
     PeriodicWord,
+    SectorIndexError,
     build_diagram,
     derive,
     permute,
@@ -158,6 +159,20 @@ def test_renormalize_periodic_ambiguity():
     assert tr3.split == (1, (6, 7))
     tr4 = renormalize(per("ADBD"), 5, 4, start_diagram=4)
     assert tr4.diagrams == (4, 3, 1, 1, 1) and tr4.split == (1, (2, 3))
+
+
+CHAIN_WORD = per("ADBCBCCBCBDADBCBCCBCCBCBD")
+
+
+@pytest.mark.parametrize("sector", [-1, 8, 99])
+def test_sector_outside_range_is_refused_not_rejected(sector):
+    # j, like i, is a sector index; j = 0 is one, which no derived word takes (C2)
+    message = rf"^sector index {sector} outside 0\.\.7$"
+    with pytest.raises(SectorIndexError, match=message):
+        check_coherent(CHAIN_WORD, 0, sector)
+    with pytest.raises(SectorIndexError, match=message):
+        renormalize(CHAIN_WORD, 3, 4, start_diagram=sector)
+    assert check_coherent(CHAIN_WORD, 0, 0).failed == "C2"
 
 
 def test_renormalize_fixed_words():

@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from cutseq import farey
 from cutseq.exact_arith import ApproxDirection, ExactDirection, Q2Scalar, moebius_apply
 from cutseq.farey import (
     Expansion,
@@ -257,6 +259,31 @@ def test_square_farey_values():
     assert square_farey(Fraction(3, 4)) == Fraction(1, 3)
     with pytest.raises(ValueError):
         square_farey(1.5)
+
+
+@pytest.mark.parametrize(
+    "d, n, steps",
+    [
+        (exact_dir(-1, 1), 4, 1),  # tail 1
+        (exact_dir(2, 1), 4, 3),  # tail 7
+        (ExactDirection.from_cot(q2(Fraction(1, 3), Fraction(1, 2))), 4, 17),  # tail 7
+        (exact_dir(2), 2, 2),
+        (exact_dir(Fraction(3, 7)), 2, 3),
+        (ExactDirection.horizontal(True), 4, 1),
+        (PI_8, 4, 0),
+        (PI_DIR, 4, 0),
+    ],
+)
+def test_exact_itinerary_stops_at_its_fixed_point(d, n, steps):
+    # the walk ends on the fixed point; its branch fills in the rest of the depth
+    expected, cur = [], d
+    for _ in range(40):
+        cur, sector = farey_apply(cur, n)
+        expected.append(sector)
+    assert is_terminating(d, n, 40).depth == steps
+    with mock.patch.object(farey, "farey_apply", wraps=farey.farey_apply) as step:
+        assert itinerary(d, n, 40) == tuple(expected)
+    assert step.call_count == steps
 
 
 def test_itinerary_is_valid_sector_sequence():
