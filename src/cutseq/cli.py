@@ -27,6 +27,7 @@ import cutseq
 from .symbolic import (
     CutseqError,
     build_diagram,
+    check_count,
     check_n,
     derive,
     factor_counts_upto,
@@ -210,9 +211,11 @@ def _cmd_recognize(args) -> dict:
 
 def _cmd_expand(args) -> dict:
     d = _parse_direction(args)
-    seq = cutseq.itinerary(d, args.n, args.depth)
-    iv = cutseq.sector_interval(seq, args.n)
+    check_count(args.depth, "depth")
+    # one walk: the itinerary is its prefix, read as `farey.itinerary` reads it
     term = cutseq.is_terminating(d, args.n, max(args.depth, 10))
+    seq = cutseq.Expansion(args.n, term.itinerary, term.tail).prefix(args.depth)
+    iv = cutseq.sector_interval(seq, args.n)
     payload = {
         "itinerary": list(seq),
         "terminating": term.terminating,

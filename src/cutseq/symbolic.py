@@ -25,19 +25,20 @@ Words have one text form, read by `parse_word` and written by `format_word`
 and nowhere else: plain letters for n <= 4, labels 'L1 L5 ...' beyond (either
 is read at any n), and for a periodic word its period after the marker `per:`.
 
-Alphabet questions read one code per adjacent pair instead (`_pair_codes`).  On
-a long text over at most six letters A-Z, one 256-byte table maps each letter
-to a 3-bit code and every other character to 0xFF (a 0xFF sends the text to the
-zip).  Read as one integer v, the codes give each adjacent pair its own byte,
-((v >> 8) << 3) | (the low bytes of v): 8 * code(left) + code(right).
+Alphabet questions read one code per adjacent pair instead (`_pair_codes`).
+Each of the letters A-H, the labels of every polygon up to the 16-gon, has a
+fixed 3-bit code, its label index minus 1: one 256-byte table maps it there and
+every other character to 0xFF (a 0xFF sends the text to the zip).  Read as one
+integer v, the codes give each adjacent pair its own byte, ((v >> 8) << 3) |
+(the low bytes of v): 8 * code(left) + code(right).
 `transition_set` asks `8x + y in pair_bytes` once per pair of present letters
 (the wrap adds no pair a period lacks), a `memchr` in C, so besides a few
 whole-text passes in C the cost follows the alphabet, not the word's length;
 `TransitionDiagram.admits` and `admissible_diagrams` inherit it.
 `sandwich_profile` ORs derive's mask (`_mark_unsandwiched`: 0xFF where left and
 right neighbour differ) into the pair codes, so the first byte 8a + b marks the
-first sandwich aba.  Short texts (the fixed cost of n^2 searches), larger
-alphabets and other characters keep one zip over the text.
+first sandwich aba.  Short texts (the fixed cost of n^2 searches) and texts
+with any character outside A-H keep one zip over the text.
 
 Renormalization asks the same questions of the same level several times:
 `renormalize`, `check_coherent`, `decompose_candidates` and
@@ -359,46 +360,39 @@ def transitions(w: Wordlike) -> list[tuple[str, str]]:
     return list(_pairs(w))
 
 
-# The code route beats one zip over the text only on long texts over small
-# alphabets (Python 3.11): at 96 letters the two cost about the same (the zip up
-# to 30% less for a dodecagon sandwich profile), from 250 letters on the codes
-# win, 4-5 times at 700.  Codes take 3 bits, so two fit a byte.
+# The code route beats one zip over the text only on long texts (Python 3.11):
+# at 96 letters the two cost about the same (the zip up to 30% less for a
+# dodecagon sandwich profile), from 250 letters on the codes win, 4-5 times at
+# 700.  The route takes every long word of a polygon with n <= 8.
 _SEARCH_MIN_LENGTH = 96
-_SEARCH_MAX_ALPHABET = 6
 
 # Texts held by each of the two kernel memos (module doc).
 _MEMO_SIZE = 6
 
-
-@lru_cache(maxsize=256)
-def _code_table(letters: str) -> bytes:
-    """A bytes.translate table: each of the letters to its index, any other byte to 0xFF."""
-    table = bytearray(b"\xff" * 256)
-    for code, c in enumerate(letters):
-        table[ord(c)] = code
-    return bytes(table)
+# The coded letters, and the bytes.translate table that codes them: the letter
+# of label j to j - 1, any other byte to 0xFF.  Codes take 3 bits, so two fit a byte.
+_CODED = "ABCDEFGH"
+_CODES = bytes(_CODED.find(chr(b)) & 0xFF for b in range(256))
 
 
-def _pair_codes(t: str) -> tuple[str, int, int] | None:
+def _pair_codes(t: str) -> tuple[list[tuple[int, str]], int, int] | None:
     """(letters, codes, pairs) of a wrapped text on the code route (module doc), else None.
 
-    The route takes texts of at least _SEARCH_MIN_LENGTH characters, all A-Z,
-    with at most _SEARCH_MAX_ALPHABET distinct letters: `letters`, in order.
-    `codes` is t read as one big-endian integer after mapping each letter to
-    its index in `letters`; byte i of `pairs` (len(t) - 1 bytes) is the code
-    8 * code(t[i]) + code(t[i + 1]) of the i-th adjacent pair.
+    The route takes texts of at least _SEARCH_MIN_LENGTH characters, all A-H.
+    `letters` lists the (code, letter) of each letter present, in order.
+    `codes` is t read as one big-endian integer after coding each letter; byte i
+    of `pairs` (len(t) - 1 bytes) is the code 8 * code(t[i]) + code(t[i + 1])
+    of the i-th adjacent pair.
     """
     if len(t) < _SEARCH_MIN_LENGTH or not t.isascii():
         return None
-    letters = "".join([c for c in LETTERS if c in t])
-    if len(letters) > _SEARCH_MAX_ALPHABET:
-        return None
-    text = t.encode("ascii").translate(_code_table(letters))
-    if 0xFF in text:  # a character outside A-Z
+    text = t.encode("ascii").translate(_CODES)
+    if 0xFF in text:  # a character outside A-H
         return None
     v = int.from_bytes(text, "big")
     # v >> 8 holds the left letter of each pair, the low len(t) - 1 bytes of v the right one
-    return letters, v, (v >> 8) << 3 | (v & ((1 << 8 * (len(t) - 1)) - 1))
+    return ([(x, c) for x, c in enumerate(_CODED) if c in t], v,
+            (v >> 8) << 3 | (v & ((1 << 8 * (len(t) - 1)) - 1)))
 
 
 def transition_set(w: Wordlike) -> frozenset[tuple[str, str]]:
@@ -418,8 +412,7 @@ def _pair_set(t: str) -> frozenset[tuple[str, str]]:
         return frozenset(zip(t, t[1:]))
     letters, _, pairs = coded
     found = pairs.to_bytes(len(t) - 1, "big")
-    return frozenset([(a, b) for x, a in enumerate(letters) for y, b in enumerate(letters)
-                      if 8 * x + y in found])
+    return frozenset([(a, b) for x, a in letters for y, b in letters if 8 * x + y in found])
 
 
 def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
@@ -442,9 +435,9 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
     # byte i: the code of the pair t[i] t[i + 1] where t[i + 2] == t[i], else 0xFF
     sandwiches = _mark_unsandwiched(pairs >> 8, codes, m)
     found = []
-    for y, b in enumerate(letters):
+    for y, b in letters:
         # the first sandwich aba of each a; the first position of each letter orders the keys
-        hits = [(i, a) for x, a in enumerate(letters) if (i := sandwiches.find(8 * x + y)) >= 0]
+        hits = [(i, a) for x, a in letters if (i := sandwiches.find(8 * x + y)) >= 0]
         if hits:
             found.append((min(hits)[0], b, frozenset(a for _, a in hits)))
     return {b: lefts for _, b, lefts in sorted(found)}

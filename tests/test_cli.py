@@ -1,9 +1,11 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 
+from cutseq import farey
 from cutseq.cli import main
 
 
@@ -64,6 +66,24 @@ def test_expand_direction(capsys):
     assert doc["itinerary"][:3] == [0, 1, 6]
     assert doc["terminating"] is True
     assert doc["termination_certainty"] == "exact"
+
+
+@pytest.mark.parametrize(
+    "direction, depth, calls",
+    [
+        (["--theta", "0.7312"], "40", 40),
+        (["--cot", "1/3+1/2*sqrt2"], "40", 17),  # exact: the walk stops at the fixed point
+        (["--cot", "2+1*sqrt2"], "6", 3),
+    ],
+)
+def test_expand_direction_walks_the_farey_orbit_once(capsys, direction, depth, calls):
+    with mock.patch.object(farey, "farey_apply", wraps=farey.farey_apply) as step:
+        run_json(capsys, "expand-direction", *direction, "--depth", depth)
+        assert step.call_count == calls
+        # a depth below 1 is refused before the walk
+        refused = run(capsys, "expand-direction", *direction, "--depth", "0")
+        assert refused == (2, "", "cutseq: depth must be >= 1\n")
+        assert step.call_count == calls
 
 
 def test_generate_and_seeds(capsys):

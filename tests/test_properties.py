@@ -62,6 +62,7 @@ from cutseq.symbolic import (
     PeriodicWord,
     WordWindow,
     _held,
+    _pair_codes,
     _pair_set,
     _sandwiched_letters,
     _wrapped,
@@ -240,9 +241,11 @@ def naive_admissible(w, n):
 @example((4, "AD" * 47 + "A"))  # one letter short of the search crossover
 @example((4, "AD" * 48))
 @example((6, PeriodicWord.of("ABCDEF" * 20 + "A")))
-@example((7, "ABCDEFG" * 20))  # one letter more than the searched alphabets
-@example((6, "UVWXYZ" * 20))  # six letters beyond H still take the codes 0-5
+@example((7, "ABCDEFG" * 20))  # seven of the eight coded letters
+@example((6, "UVWXYZ" * 20))  # six letters beyond H: no codes, the zip route
 @example((4, PeriodicWord.of("AD" * 46 + "BC")))  # the wrapped text is 96 letters
+@example((8, "ABCDEFGH" * 15))  # all eight coded letters
+@example((9, "ABCDEFGHI" * 12))  # one letter beyond H: the zip route
 def test_alphabet_search_matches_naive_reference(nw):
     n, w = nw
     pairs = frozenset(naive_transitions(w))
@@ -252,6 +255,12 @@ def test_alphabet_search_matches_naive_reference(nw):
     assert all(build_diagram(i, n).admits(w) == (pairs <= build_diagram(i, n).edges)
                for i in range(2 * n))
     assert admissible_diagrams(w, n) == naive_admissible(w, n)
+
+
+def test_code_route_takes_long_texts_over_a_to_h_only():
+    assert _pair_codes("ABCDEFGH" * 15) is not None
+    assert _pair_codes("UVWXYZ" * 20) is None
+    assert _pair_codes("ABCDEFGI" * 15) is None
 
 
 @FAST
