@@ -1,9 +1,12 @@
 """Piecewise renormalization map on directions and its additive continued fraction.
 
 The map acts on the projective directions [0, pi]: on the closed sector i it is
-the fractional-linear action of gamma @ nu_i, where nu_i renormalizes the sector
-to sector 0 and gamma is the affine reflection.  All branches send their sector
-onto [pi/2n, pi], so itinerary entries after the first are never 0; an itinerary
+the fractional-linear action of the one matrix gamma @ nu_i (`farey_branch`),
+where nu_i renormalizes the sector to sector 0 and gamma is the affine
+reflection.  All branches send their sector onto [pi/2n, pi], so itinerary
+entries after the first are never 0, and the inverse of branch i sends the two
+range ends to the two ends of sector i: float cylinder ends that are range ends
+are pulled back by that rule, onto the sector boundaries themselves.  An itinerary
 read off the half-open sectors is the additive continued fraction expansion of
 the direction.  The two indifferent fixed points are pi/2n (branch 1) and pi
 (branch 2n-1); expansions with an eventually constant tail at those branches
@@ -32,16 +35,11 @@ class InvalidPrefixError(CutseqError):
     """An expansion prefix violating the admissible-entry constraints."""
 
 
-class FareyBranch(Record):
-    """One branch: sector index and acting matrix."""
-
-    __slots__ = _fields = ("sector", "matrix")
-
-
 @lru_cache(maxsize=None)
-def farey_branch(i: int, n: int) -> FareyBranch:
+def farey_branch(i: int, n: int) -> Mat2:
+    """The matrix gamma @ nu_i by which the map acts on sector i."""
     _, gamma = veech_elements(n)
-    return FareyBranch(i, gamma @ isometry_nu(i, n))
+    return gamma @ isometry_nu(i, n)
 
 
 def farey_apply(d: Direction, n: int) -> tuple[Direction, int]:
@@ -50,7 +48,7 @@ def farey_apply(d: Direction, n: int) -> tuple[Direction, int]:
     Every branch maps onto [pi/2n, pi], so a float image is read by `_in_range`.
     """
     sector = sector_of(d, n)
-    return _in_range(moebius_apply(farey_branch(sector, n).matrix, d), n), sector
+    return _in_range(moebius_apply(farey_branch(sector, n), d), n), sector
 
 
 def _in_range(image: Direction, n: int) -> Direction:
@@ -161,7 +159,7 @@ def _order(a: Direction, b: Direction) -> tuple[Direction, Direction]:
 
 @lru_cache(maxsize=None)
 def _inverse_branch(i: int, n: int) -> Mat2:
-    return farey_branch(i, n).matrix.inverse()
+    return farey_branch(i, n).inverse()
 
 
 def sector_interval(prefix: tuple[int, ...] | list[int], n: int = 4) -> SectorInterval:
@@ -183,16 +181,22 @@ def _pull_back(entries: tuple[int, ...], d: Direction, n: int) -> Direction:
     """d pulled back through the inverse branches of the entries, last entry first.
 
     An exact direction goes through `moebius_chain` as one integer vector.  A
-    float one goes one branch at a time, and the inverse of branch 2n-1, whose
-    sector ends at pi, can wrap its image of pi across the seam: that image is
-    read by `_in_range`, as the forward images are.
+    float one goes one branch at a time.  Branch e maps sector e onto [pi/2n, pi],
+    so its inverse maps the range end pi/2n to the sector boundary e | 1 and pi
+    to the boundary 2e + 1 - (e | 1), the two ends of sector e.  While d is one of
+    the range ends it is pulled back by that rule, to the float boundary itself:
+    a Moebius image would land a few ulps off, and the image of pi through branch
+    2n-1 could wrap across the 0|pi seam to near 0.
     """
     if isinstance(d, ExactDirection):
         return moebius_chain([_inverse_branch(entry, n) for entry in reversed(entries)], d)
+    low, high = sector_boundary(1, n), sector_boundary(2 * n, n)
     for entry in reversed(entries):
-        d = moebius_apply(_inverse_branch(entry, n), d)
-        if entry == 2 * n - 1:
-            d = _in_range(d, n)
+        if d == low or d == high:
+            k = entry | 1
+            d = sector_boundary(k if d == low else 2 * entry + 1 - k, n)
+        else:
+            d = moebius_apply(_inverse_branch(entry, n), d)
     return d
 
 

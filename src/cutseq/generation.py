@@ -15,8 +15,9 @@ Generation works on the whole text with `str.replace`: for each edge a -> b
 with a non-empty interpolating word w, every pair ab becomes a + w.lower() + b.
 The lowercase marks what was inserted, so no later pattern matches across an
 insertion; a self-loop a -> a runs twice, because one pass over a run of a's
-skips overlapping matches; one `upper()` ends it.  A periodic word runs on its
-period with the first letter repeated, for the wrap pair, and drops it again.
+skips overlapping matches; one `upper()` ends it.  A finite word, a str, runs
+as it is; a periodic word runs on its period with the first letter repeated,
+for the wrap pair, and drops it again.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .symbolic import (
     Record,
     SectorIndexError,
     Wordlike,
-    WordWindow,
     _held,
     boundary_diagram,
     build_diagram,
@@ -156,12 +156,7 @@ def _generate_admitted(k: int, i: int, w: Wordlike, n: int) -> Wordlike:
         for pair, marked in _marked_insertions(k, n):
             t = t.replace(pair, marked)
         t = t.upper()
-    if periodic:
-        out: Wordlike = PeriodicWord.of(t[:-1])
-    elif isinstance(w, WordWindow):
-        out = WordWindow(t)
-    else:
-        out = t
+    out: Wordlike = PeriodicWord.of(t[:-1]) if periodic else t
     if i == 0:
         return out
     return permute(sector_permutation(i, n).inverse(), out)

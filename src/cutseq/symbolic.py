@@ -1,10 +1,10 @@
-"""Words, windows and periodic words; transition diagrams; derivation; factor counts.
+"""Words and periodic words; transition diagrams; derivation; factor counts.
 
 Letters are the characters A, B, C, ... (letter j of an alphabet of size n is
 chr(ord('A') + j - 1); alphabets up to n = 26 are supported, which covers every
-polygon anyone draws).  A finite word is a plain str.  A WordWindow is a finite
-stretch of a bi-infinite word: whether its first and last letters are sandwiched
-cannot be known, so derivation drops them.  A PeriodicWord holds its primitive
+polygon anyone draws).  A finite word is a plain str, a finite stretch of a
+bi-infinite word: whether its first and last letters are sandwiched cannot be
+known, so derivation drops them.  A PeriodicWord holds its primitive
 period in the rotation it was built from.  It computes the canonical rotation
 (the lexicographically least) once, on first use, for what prints, hashes or
 reads letters in order; equality asks whether one held period occurs in the
@@ -46,7 +46,7 @@ Renormalization asks the same questions of the same level several times:
 the two text kernels, `_sandwiched_letters` (derive) and `_pair_set`
 (`transition_set`), are memoized under `functools.lru_cache`, keyed by the
 wrapped held text.  That is the text they compute from, so equal texts share an
-entry whether they come as a str, a window or a periodic word, and derive and
+entry whether they come as a str or a periodic word, and derive and
 transition_set wrap the answer in the caller's container; and it is the held
 rotation, so a lookup never canonicalizes a periodic word.  Each memo keeps the
 _MEMO_SIZE most recent texts, enough for the five levels of one
@@ -200,10 +200,12 @@ def parse_word(text: str, n: int) -> str | PeriodicWord:
     s = s.removeprefix(_PERIODIC)
     if "L" in s and any(ch.isdigit() for ch in s):
         parts = s.replace(",", " ").split()
-        try:
-            labels = [int(p.lstrip("L")) for p in parts]
-        except ValueError as exc:  # a label that is not a number
-            raise CutseqError(str(exc)) from None
+        labels = []
+        for p in parts:
+            try:
+                labels.append(int(p.lstrip("L")))
+            except ValueError:  # a label that is not a number
+                raise CutseqError(f"malformed label {p!r}") from None
         alphabet = letters_for(n)
         outside = [p for p, j in zip(parts, labels) if not 1 <= j <= n]
         if outside:
@@ -287,8 +289,8 @@ class PeriodicWord(Record):
     def __str__(self) -> str:
         return _PERIODIC + self.period
 
-    def window(self, length: int) -> WordWindow:
-        return WordWindow(_repeat(self.period, length))
+    def window(self, length: int) -> str:
+        return _repeat(self.period, length)
 
 
 def _repeat(p: str, length: int) -> str:
@@ -296,24 +298,7 @@ def _repeat(p: str, length: int) -> str:
     return (p * (length // len(p) + 1))[:length]
 
 
-class WordWindow(Record):
-    """A finite window of a bi-infinite word.
-
-    The truncation flags record that the sandwich status of the boundary letters
-    is unknown; derivation always drops them and the output stays truncated.
-    """
-
-    __slots__ = _fields = ("letters", "left_truncated", "right_truncated")
-    _defaults = (True, True)
-
-    def __str__(self) -> str:
-        return self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-Wordlike = str | WordWindow | PeriodicWord
+Wordlike = str | PeriodicWord
 
 
 def word_text(w: Wordlike) -> str:
@@ -326,15 +311,11 @@ def _held(w: Wordlike) -> str:
 
     For every question whose answer does not depend on rotation (module doc).
     """
-    if isinstance(w, PeriodicWord):
-        return w._text
-    if isinstance(w, WordWindow):
-        return w.letters
-    return w
+    return w._text if isinstance(w, PeriodicWord) else w
 
 
 def is_exhausted(w: Wordlike | None) -> bool:
-    """No letters left to derive: None, or a window or str with no letters."""
+    """No letters left to derive: None, or the empty str."""
     return w is None or not _held(w)
 
 
@@ -418,7 +399,7 @@ def _pair_set(t: str) -> frozenset[tuple[str, str]]:
 def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
     """For each letter, the set of letters sandwiching it somewhere in the word.
 
-    Only interior occurrences count: the boundary letters of a window have
+    Only interior occurrences count: the boundary letters of a str have
     unknown neighbours.  Periodic words wrap around.  The letters come in the
     order of their first sandwiched occurrence.
     """
@@ -447,9 +428,9 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
 
 
 class TransitionDiagram(Record):
-    """Directed graph on the n letters giving the allowed consecutive pairs."""
+    """Directed graph of the allowed consecutive letter pairs, held as its edges alone."""
 
-    __slots__ = _fields = ("n", "index", "edges")  # edges: frozenset of (letter, letter)
+    __slots__ = _fields = ("edges",)  # frozenset of (letter, letter)
 
     def admits(self, w: Wordlike) -> bool:
         return transition_set(w) <= self.edges
@@ -459,14 +440,10 @@ class TransitionDiagram(Record):
 
     def relabel(self, perm: LetterPermutation) -> TransitionDiagram:
         """Apply perm to every vertex label."""
-        return TransitionDiagram(
-            self.n,
-            self.index,
-            frozenset((perm(u), perm(v)) for (u, v) in self.edges),
-        )
+        return TransitionDiagram(frozenset((perm(u), perm(v)) for (u, v) in self.edges))
 
-    def intersection(self, other: TransitionDiagram, index: object) -> TransitionDiagram:
-        return TransitionDiagram(self.n, index, self.edges & other.edges)
+    def intersection(self, other: TransitionDiagram) -> TransitionDiagram:
+        return TransitionDiagram(self.edges & other.edges)
 
 
 class LetterPermutation(Record):
@@ -582,19 +559,14 @@ def build_diagram(i: int, n: int) -> TransitionDiagram:
     """
     check_sector(i, n)
     walk = sector0_walk(n)
-    d0 = TransitionDiagram(n, 0, frozenset(zip(walk, walk[1:])))
-    if i == 0:
-        return d0
-    relabelled = d0.relabel(sector_permutation(i, n).inverse())
-    return TransitionDiagram(n, i, relabelled.edges)
+    d0 = TransitionDiagram(frozenset(zip(walk, walk[1:])))
+    return d0.relabel(sector_permutation(i, n).inverse()) if i else d0
 
 
 @lru_cache(maxsize=None)
 def boundary_diagram(k: int, n: int) -> TransitionDiagram:
     """Transitions allowed in both sector k-1 and sector k (indices mod 2n)."""
-    k = k % (2 * n)
-    prev = build_diagram((k - 1) % (2 * n), n)
-    return prev.intersection(build_diagram(k, n), ((k - 1) % (2 * n), k))
+    return build_diagram((k - 1) % (2 * n), n).intersection(build_diagram(k % (2 * n), n))
 
 
 def admissible_diagrams(w: Wordlike, n: int) -> tuple[int, ...]:
@@ -607,8 +579,6 @@ def permute(perm: LetterPermutation, w: Wordlike) -> Wordlike:
     if isinstance(w, PeriodicWord):
         # a bijection of letters keeps a primitive period primitive
         return PeriodicWord(perm.apply_word(_held(w)))
-    if isinstance(w, WordWindow):
-        return WordWindow(perm.apply_word(w.letters), w.left_truncated, w.right_truncated)
     return perm.apply_word(w)
 
 
@@ -653,14 +623,13 @@ def _mark_unsandwiched(marks: int, v: int, m: int) -> bytes:
 def derive(w: Wordlike):
     """Keep only the sandwiched letters (equal left and right neighbours).
 
-    Windows lose their boundary letters (their status is unknowable) and stay
-    truncated; periodic words wrap around and may derive to None when no letter
-    survives.  Finite str input is treated as a window.
+    A str loses its boundary letters (their status is unknowable); periodic
+    words wrap around and may derive to None when no letter survives.
     """
     kept = _sandwiched_letters(_wrapped(w, held=True))
     if isinstance(w, PeriodicWord):
         return PeriodicWord.of(kept) if kept else None
-    return WordWindow(kept) if isinstance(w, WordWindow) else kept
+    return kept
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

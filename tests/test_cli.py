@@ -536,6 +536,22 @@ def test_sector_end_angle_enumerates_as_its_exact_direction(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, lo",
+    [(["--theta", "pi/2", "--n", "26"], math.pi / 2),
+     (["--theta", "2*pi/26", "--n", "13"], 2 * math.pi / 26)],
+)
+def test_cylinder_end_on_a_sector_boundary_is_that_boundary(capsys, argv, lo):
+    # each direction is a sector boundary and the lower end of its depth-4 cylinder
+    doc = run_json(capsys, "expand-direction", *argv, "--depth", "4")
+    assert doc["interval_lo"] == lo
+
+
+def test_malformed_label_is_named(capsys):
+    code, out, err = run(capsys, "derive", "--word", "L1L2", "--n", "6")
+    assert (code, out, err) == (2, "", "cutseq: malformed label 'L1L2'\n")
+
+
+@pytest.mark.parametrize(
     "text",
     ["pipi/2", "pi*pi/16", "pi3/8", "2**pi/4", "pi/0", "*pi/2", "pi / 8", "3 * pi / 8", "1e-1*pi"],
 )

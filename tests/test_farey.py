@@ -6,7 +6,13 @@ from unittest import mock
 import pytest
 
 from cutseq import farey
-from cutseq.exact_arith import ApproxDirection, ExactDirection, Q2Scalar, moebius_apply
+from cutseq.exact_arith import (
+    ApproxDirection,
+    ExactDirection,
+    Q2Scalar,
+    direction_theta,
+    moebius_apply,
+)
 from cutseq.farey import (
     Expansion,
     InvalidPrefixError,
@@ -21,7 +27,7 @@ from cutseq.farey import (
     square_coordinate,
     square_farey,
 )
-from cutseq.polygon import sector_cot_bounds, sector_of
+from cutseq.polygon import is_exact, sector_boundary, sector_cot_bounds, sector_of
 from cutseq.symbolic import CutseqError
 
 
@@ -53,8 +59,8 @@ def test_branch_continuity_at_shared_endpoints():
     bounds = sector_cot_bounds(4)
     for i in range(7):
         boundary = ExactDirection.from_cot(bounds[i])
-        a = moebius_apply(farey_branch(i, 4).matrix, boundary)
-        b = moebius_apply(farey_branch(i + 1, 4).matrix, boundary)
+        a = moebius_apply(farey_branch(i, 4), boundary)
+        b = moebius_apply(farey_branch(i + 1, 4), boundary)
         assert a == b
 
 
@@ -64,12 +70,12 @@ def test_branches_are_monotone_bijections_onto_range():
     for i in range(8):
         lo = ExactDirection.horizontal(True) if i == 0 else ExactDirection.from_cot(bounds[i - 1])
         hi = ExactDirection.horizontal(False) if i == 7 else ExactDirection.from_cot(bounds[i])
-        m = farey_branch(i, 4).matrix
+        m = farey_branch(i, 4)
         images = {moebius_apply(m, lo), moebius_apply(m, hi)}
         assert images == {PI_8, PI_DIR}
         # an interior point lands strictly inside
         mid = ApproxDirection((i + 0.5) * math.pi / 8)
-        t = moebius_apply(farey_branch(i, 4).matrix, mid).theta
+        t = moebius_apply(farey_branch(i, 4), mid).theta
         assert math.pi / 8 < t < math.pi
 
 
@@ -95,7 +101,7 @@ def test_branch_inversion_exact():
             continue  # need an angle in [pi/8, pi]
         d = ExactDirection.from_cot(mu)
         for i in range(8):
-            m = farey_branch(i, 4).matrix
+            m = farey_branch(i, 4)
             assert moebius_apply(m, moebius_apply(m.inverse(), d)) == d
         count += 1
 
@@ -135,6 +141,33 @@ def test_float_cylinder_contains_its_direction(n):
                 for depth in (1, 4, 8):
                     prefix = itinerary(ApproxDirection(t), n, depth)
                     assert sector_interval(prefix, n).contains_theta(t), (n, t, prefix)
+
+
+@pytest.mark.parametrize("n", range(2, 27))
+def test_float_cylinder_ends_on_sector_boundaries_are_exact(n):
+    # every angle k pi/2n at three depths: a cylinder end that is pulled back from a
+    # range end is the sector boundary itself, so the cylinder needs no slack
+    for k in range(2 * n + 1):
+        theta = direction_theta(sector_boundary(k, n))
+        for depth in (1, 4, 8):
+            prefix = itinerary(ApproxDirection(theta), n, depth)
+            a, b = sector_interval(prefix, n).theta_bounds()
+            assert a <= theta <= b, (n, k, depth, prefix)
+
+
+@pytest.mark.parametrize("n", range(2, 27))
+def test_pullback_rule_is_the_inverse_branch_image(n):
+    # inverse branch e sends pi/2n to the sector boundary e | 1 and pi to 2e + 1 - (e | 1):
+    # exactly where the directions are exact, within a few ulps (across the seam) in floats
+    ends = (sector_boundary(1, n), sector_boundary(2 * n, n))
+    for e in range(2 * n):
+        for end, k in zip(ends, (e | 1, 2 * e + 1 - (e | 1))):
+            image = moebius_apply(farey._inverse_branch(e, n), end)
+            if is_exact(n):
+                assert image == sector_boundary(k, n), (e, k)
+            else:
+                gap = abs(image.theta - sector_boundary(k, n).theta)
+                assert min(gap, math.pi - gap) < 1e-15, (e, k, gap)
 
 
 def test_float_fixed_point_pullback_stays_at_pi():

@@ -31,9 +31,9 @@ EXPORTS = {
     ],
     "symbolic": [
         "AmbiguousDiagramError", "CutseqError", "InadmissibleWordError", "LetterPermutation",
-        "PeriodicWord", "TransitionDiagram", "WordWindow", "admissible_diagrams",
-        "boundary_diagram", "build_diagram", "derive", "factor_count", "factor_set",
-        "normal_form", "permute", "sandwich_profile", "sector_permutation", "square_derive",
+        "PeriodicWord", "TransitionDiagram", "admissible_diagrams", "boundary_diagram",
+        "build_diagram", "derive", "factor_count", "factor_set", "normal_form", "permute",
+        "sandwich_profile", "sector_permutation", "square_derive",
     ],
     "farey": [
         "Expansion", "SectorInterval", "TerminationResult", "direction_from_expansion",

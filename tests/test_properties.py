@@ -60,7 +60,6 @@ from cutseq.symbolic import (
     InadmissibleWordError,
     LetterPermutation,
     PeriodicWord,
-    WordWindow,
     _held,
     _pair_codes,
     _pair_set,
@@ -111,8 +110,6 @@ def naive_derive(w):
     kept = "".join(b for a, b, c in naive_neighbours(w) if a == c)
     if isinstance(w, PeriodicWord):
         return PeriodicWord.of(kept) if kept else None
-    if isinstance(w, WordWindow):
-        return WordWindow(kept)
     return kept
 
 
@@ -146,8 +143,6 @@ def naive_permute(perm, w):
 
     if isinstance(w, PeriodicWord):
         return PeriodicWord.of(image(w.period))
-    if isinstance(w, WordWindow):
-        return WordWindow(image(w.letters), w.left_truncated, w.right_truncated)
     return image(w)
 
 
@@ -156,14 +151,14 @@ def naive_permute(perm, w):
 
 @st.composite
 def words(draw):
-    """(n, a str, window or periodic word over an alphabet of n = 3..8 letters)."""
+    """(n, a str or periodic word over an alphabet of n = 3..8 letters)."""
     n = draw(st.integers(3, 8))
-    kind = draw(st.sampled_from(["str", "window", "periodic"]))
+    kind = draw(st.sampled_from(["str", "periodic"]))
     text = draw(st.text(alphabet=letters_for(n), min_size=1 if kind == "periodic" else 0,
                         max_size=40))
     if kind == "periodic":
         return n, PeriodicWord.of(text)
-    return n, WordWindow(text) if kind == "window" else text
+    return n, text
 
 
 def walk(rng, d, length):
@@ -175,15 +170,13 @@ def walk(rng, d, length):
 
 
 def as_kind(kind, text):
-    if kind == "periodic":
-        return PeriodicWord.of(text)
-    return WordWindow(text) if kind == "window" else text
+    return PeriodicWord.of(text) if kind == "periodic" else text
 
 
 @st.composite
 def long_words(draw):
     """(n, word of 64-5000 letters over n = 3..8 letters): random text or a diagram walk,
-    as a str, a window or a periodic word."""
+    as a str or a periodic word."""
     n = draw(st.integers(3, 8))
     length = draw(st.integers(64, 5000))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -191,7 +184,7 @@ def long_words(draw):
         text = "".join(rng.choice(letters_for(n)) for _ in range(length))
     else:
         text = walk(rng, build_diagram(draw(st.integers(0, 2 * n - 1)), n), length)
-    return n, as_kind(draw(st.sampled_from(["str", "window", "periodic"])), text)
+    return n, as_kind(draw(st.sampled_from(["str", "periodic"])), text)
 
 
 def _closing(d, u, v):
@@ -268,10 +261,10 @@ def test_code_route_takes_long_texts_over_a_to_h_only():
     long_words(),
     st.lists(st.tuples(st.integers(0, 5000), st.sampled_from("az1 @[\xe9\u03a9")), min_size=1,
              max_size=5),
-    st.sampled_from(["str", "window", "periodic"]),
+    st.sampled_from(["str", "periodic"]),
 )
 @example((3, "ABC" * 40), [(7, "a")], "str")  # a lowercase letter: the zip route
-@example((4, "ADBC" * 250), [(500, "a")], "window")  # 0xFF in the codes: the zip route
+@example((4, "ADBC" * 250), [(500, "a")], "str")  # 0xFF in the codes: the zip route
 @example((4, "ADBC" * 250), [(999, "\xe9")], "periodic")  # not ASCII: the zip route
 def test_text_outside_the_alphabet_matches_naive_reference(nw, inserts, kind):
     text = word_text(nw[1])
@@ -301,9 +294,9 @@ def test_decompose_candidates_matches_naive_reference(data):
     k, i = data.draw(st.integers(1, 2 * n - 1)), data.draw(st.integers(0, 2 * n - 1))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     v = walk(rng, build_diagram(k, n), data.draw(st.integers(16, 600)))
-    kind = data.draw(st.sampled_from(["str", "window", "periodic"]))
+    kind = data.draw(st.sampled_from(["str", "periodic"]))
     if kind == "periodic" and (v[-1], v[0]) not in build_diagram(k, n).edges:
-        kind = "window"
+        kind = "str"
     # a generated image is coherent and its raw walk mostly is not: both outcomes
     for w in (generate(k, i, as_kind(kind, v), n), as_kind(kind, v)):
         assert decompose_candidates(w, i, n) == naive_decompose(w, i, n)
@@ -338,14 +331,13 @@ def join_generate(k, i, w, n):
     if isinstance(w, PeriodicWord):
         out = PeriodicWord.of("".join(map(pieces.__getitem__, zip(s, s[1:] + s[0]))))
     else:
-        body = "".join(map(pieces.__getitem__, zip(s, s[1:]))) + s[-1]
-        out = WordWindow(body) if isinstance(w, WordWindow) else body
+        out = "".join(map(pieces.__getitem__, zip(s, s[1:]))) + s[-1]
     return out if i == 0 else permute(sector_permutation(i, n).inverse(), out)
 
 
 @st.composite
 def generation_inputs(draw):
-    """(k, i, n, a str, window or periodic word admissible in diagram k), n = 3..6: a
+    """(k, i, n, a str or periodic word admissible in diagram k), n = 3..6: a
     walk through diagram k that stays on a self-loop most of the time it can, a
     periodic word closed by a shortest path."""
     n = draw(st.integers(3, 6))
@@ -356,7 +348,7 @@ def generation_inputs(draw):
     for _ in range(draw(st.integers(0, 300))):
         c = text[-1]
         text += c if (c, c) in d.edges and rng.random() < 0.7 else rng.choice(d.successors(c))
-    kind = draw(st.sampled_from(["str", "window", "periodic"]))
+    kind = draw(st.sampled_from(["str", "periodic"]))
     if kind == "periodic":
         text += _closing(d, text[-1], text[0])[:-1]
     return k, i, n, as_kind(kind, text)
@@ -381,10 +373,9 @@ def test_bulk_regeneration_of_self_loop_runs_and_one_letter_periods():
             assert loops  # every diagram has one
             for c in loops:
                 for i in (0, k):
-                    for w in [PeriodicWord.of(c)] + [as_kind(kind, c * r) for r in range(1, 8)
-                                                     for kind in ("str", "window")]:
+                    for w in [PeriodicWord.of(c)] + [c * r for r in range(1, 8)]:
                         assert_same_word(generate(k, i, w, n), join_generate(k, i, w, n))
-    for w in ("a", WordWindow("\xe9")):  # one letter has no pair: admitted, whatever it is
+    for w in ("a", "\xe9"):  # one letter has no pair: admitted, whatever it is
         assert_same_word(generate(1, 0, w, 4), join_generate(1, 0, w, 4))
 
 
@@ -394,13 +385,13 @@ def test_bulk_regeneration_of_self_loop_runs_and_one_letter_periods():
 @FAST
 @given(st.one_of(words(), long_words()))
 def test_memo_answers_each_container_in_its_own_type(nw):
-    """A str, a window and a periodic word over equal text (a periodic word shares its
+    """A str and a periodic word over equal text (a periodic word shares its
     key with the str of its wrapped period) each get a result of their own type, on a
     memo miss and on a hit, equal to the unmemoized kernels."""
     _, w = nw
     text = _held(w) or "A"
     wrapped = text[-1] + text + text[0]
-    for x in (text, WordWindow(text), PeriodicWord.of(text), wrapped, WordWindow(wrapped)):
+    for x in (text, PeriodicWord.of(text), wrapped):
         key = _wrapped(x, held=True)
         for _ in range(2):
             got = derive(x)
@@ -416,7 +407,7 @@ def test_memo_holds_at_most_its_size():
         text = "".join(rng.choice("ABCD") for _ in range(500))
         derive(text)
         derive(PeriodicWord.of(text))
-        transition_set(WordWindow(text))
+        transition_set(text)
     for kernel in (_sandwiched_letters, _pair_set):
         info = kernel.cache_info()
         assert info.maxsize == _MEMO_SIZE and info.currsize <= _MEMO_SIZE
@@ -477,9 +468,8 @@ def test_factor_set_matches_naive_reference(nw, length):
 @given(long_words())
 @example((4, ""))
 @example((4, "A"))
-@example((4, WordWindow("AB")))
+@example((4, "AB"))
 @example((4, "ABA"))
-@example((4, WordWindow("ABA")))
 @example((4, PeriodicWord.of("B")))  # period 1: every letter sandwiched by itself
 @example((4, PeriodicWord.of("AD")))  # period 2: every letter kept
 @example((4, PeriodicWord.of("ADA")))
@@ -497,11 +487,11 @@ def foreign_inserts():
 
 
 @FAST
-@given(long_words(), foreign_inserts(), st.sampled_from(["str", "window", "periodic"]))
+@given(long_words(), foreign_inserts(), st.sampled_from(["str", "periodic"]))
 @example((3, "AA" * 40), [(1, "\x00")], "str")  # A NUL A: the NUL is kept
 @example((3, "ABC" * 40), [(1, "\x00"), (3, "\x00")], "str")  # NUL B NUL
 @example((3, "ABA"), [(0, "\x7f"), (4, "\x7f")], "periodic")
-@example((3, "ABA"), [(2, "\xff")], "window")
+@example((3, "ABA"), [(2, "\xff")], "str")
 def test_derive_outside_the_alphabet_matches_naive_reference(nw, inserts, kind):
     text = word_text(nw[1])
     for pos, c in inserts:
@@ -600,14 +590,14 @@ def reference_renormalize(w, max_depth, n, start_diagram=None):
 
 @st.composite
 def traced_windows(draw):
-    """(n, window of 50-5000 letters traced on the octagon or dodecagon at a random
+    """(n, str of 50-5000 letters traced on the octagon or dodecagon at a random
     direction)."""
     n = draw(st.sampled_from((4, 6)))
     poly = build_polygon(n)
     rng = random.Random(draw(st.integers(0, 2**32)))
     cfg = TraceConfig(max_crossings=draw(st.integers(50, 5000)))
     start, theta = random_interior_point(poly, rng), rng.uniform(0, math.pi)
-    return n, WordWindow(trace_word(poly, start, ApproxDirection(theta), cfg))
+    return n, trace_word(poly, start, ApproxDirection(theta), cfg)
 
 
 @st.composite
@@ -822,7 +812,7 @@ def test_singular_exact_matrix_is_refused(x, y, k):
 
 def exact_matrices(n):
     return [isometry_nu(i, n) for i in range(2 * n)] + [
-        farey_branch(i, n).matrix for i in range(2 * n)
+        farey_branch(i, n) for i in range(2 * n)
     ]
 
 
@@ -1290,7 +1280,7 @@ def test_one_denominator_mat2_matches_per_entry_reference(scalars, k):
 def stepwise_pullback(entries, point, n):
     """point pulled back through the inverse branches, one moebius_apply per entry."""
     for entry in reversed(entries):
-        point = moebius_apply(farey_branch(entry, n).matrix.inverse(), point)
+        point = moebius_apply(farey_branch(entry, n).inverse(), point)
     return point
 
 
@@ -1298,7 +1288,7 @@ def stepwise_sector_interval(prefix, n):
     """The innermost sector's ends pulled back and ordered one branch at a time."""
     lo, hi = _sector_endpoints(prefix[-1], n)
     for entry in reversed(prefix[:-1]):
-        inv = farey_branch(entry, n).matrix.inverse()
+        inv = farey_branch(entry, n).inverse()
         lo, hi = _order(moebius_apply(inv, lo), moebius_apply(inv, hi))
     return lo, hi
 

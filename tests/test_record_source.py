@@ -30,7 +30,7 @@ def records():
 
 def test_no_record_writes_its_own_init_eq_or_hash():
     found = dict(records())
-    assert len(found) == 18
+    assert len(found) == 16
     assert [name for name, defs in found.items() if "__init__" in defs] == []
     assert [name for name, defs in found.items() if defs & {"__eq__", "__hash__"}] == [
         "PeriodicWord"

@@ -10,7 +10,6 @@ from cutseq.symbolic import (
     InadmissibleWordError,
     LetterPermutation,
     PeriodicWord,
-    WordWindow,
     admissible_diagrams,
     boundary_diagram,
     build_diagram,
@@ -139,11 +138,7 @@ def test_derive_examples():
 
 
 def test_derive_window_drops_boundary():
-    w = WordWindow("ADA")
-    out = derive(w)
-    assert isinstance(out, WordWindow)
-    assert out.letters == "D"
-    assert out.left_truncated and out.right_truncated
+    assert derive("ADA") == "D"
 
 
 def test_derive_periodic_can_vanish():
@@ -246,12 +241,12 @@ def test_word_label_outside_alphabet_is_refused(text):
         (PeriodicWord.of("DBAB"), 4, "per:ABDB"),  # printed in its canonical rotation
         (PeriodicWord.of("AFCA"), 6, "per:L1 L1 L6 L3"),
         ("AFCE", 6, "L1 L6 L3 L5"),
-        (WordWindow("ADBD"), 4, "ADBD"),
+        ("ADBD", 4, "ADBD"),
     ],
 )
 def test_word_text_form_round_trip(w, n, text):
     assert format_word(w, n) == text
-    assert parse_word(text, n) == (w.letters if isinstance(w, WordWindow) else w)
+    assert parse_word(text, n) == w
 
 
 @pytest.mark.parametrize(
