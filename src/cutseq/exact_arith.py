@@ -1,14 +1,15 @@
 """Exact arithmetic in Q(sqrt 2) and the projective action of 2x2 matrices on directions.
 
 A scalar a + b*sqrt(2) is held as three Python ints (p, q, d) with value
-(p + q*sqrt(2)) / d, d > 0 and gcd(p, q, d) = 1.  An exact matrix is held in
-one-denominator form: the eight ints (p, q) of its four entries
-(p + q*sqrt(2)) / D and one denominator D > 0, with gcd 1 over all nine, so the
-form is canonical and equality and hashing compare ints.  A product is one
-integer expression and one gcd; the Moebius image of a direction is the integer
-vector the numerators give, reduced once.  Sign tests are decided exactly on
-ints, never through floating point, so sector classifications downstream carry
-no tolerance.  The radicand is the one constant RADICAND.
+(p + q*sqrt(2)) / d, d > 0 and gcd(p, q, d) = 1.  Negation keeps that form, so
+it takes no gcd.  An exact matrix is held in one-denominator form: the eight
+ints (p, q) of its four entries (p + q*sqrt(2)) / D and one denominator D > 0,
+with gcd 1 over all nine, so the form is canonical and equality and hashing
+compare ints.  A product is one integer expression and one gcd; the Moebius
+image of a direction is the integer vector the numerators give, reduced once.
+Sign tests are decided exactly on ints, never through floating point, so sector
+classifications downstream carry no tolerance.  The radicand is the one
+constant RADICAND.
 
 Directions live on the projective line: either an exact Q(sqrt 2) vector
 normalized to (mu, 1) or (+-1, 0), or a floating angle in [0, pi].  The two
@@ -72,31 +73,41 @@ class Q2Scalar:
 
     # -- ring/field structure ------------------------------------------------
 
-    def _cross(self, o: Q2Scalar, s: int) -> tuple[int, int, int]:
-        """The unreduced triple of self + s * o for s = +-1, by integer cross-products."""
-        d, e = self._d, o._d
-        if d == e:
-            return self._p + s * o._p, self._q + s * o._q, d
-        return self._p * e + s * o._p * d, self._q * e + s * o._q * d, d * e
+    # each operation coerces only a non-Q2Scalar operand and computes its integer
+    # expression in its own frame: exact tracing and the Farey map run on these
 
     def __add__(self, other: Q2Scalar | int) -> Q2Scalar:
-        return _reduced(*self._cross(_coerce(other), 1))
+        if other.__class__ is not Q2Scalar:
+            other = Q2Scalar(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._p + other._p, self._q + other._q, d)
+        return _reduced(self._p * e + other._p * d, self._q * e + other._q * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> Q2Scalar:
-        return _reduced(-self._p, -self._q, self._d)
+        # (-p, -q, d) is canonical when (p, q, d) is: no gcd
+        s = object.__new__(Q2Scalar)
+        s._p, s._q, s._d = -self._p, -self._q, self._d
+        return s
 
     def __sub__(self, other: Q2Scalar | int) -> Q2Scalar:
-        return _reduced(*self._cross(_coerce(other), -1))
+        if other.__class__ is not Q2Scalar:
+            other = Q2Scalar(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._p - other._p, self._q - other._q, d)
+        return _reduced(self._p * e - other._p * d, self._q * e - other._q * d, d * e)
 
     def __rsub__(self, other: int) -> Q2Scalar:
         return _coerce(other) - self
 
     def __mul__(self, other: Q2Scalar | int) -> Q2Scalar:
-        o = _coerce(other)
-        p, q, r, s = self._p, self._q, o._p, o._q
-        return _reduced(p * r + RADICAND * q * s, p * s + q * r, self._d * o._d)
+        if other.__class__ is not Q2Scalar:
+            other = Q2Scalar(other)
+        p, q, r, s = self._p, self._q, other._p, other._q
+        return _reduced(p * r + RADICAND * q * s, p * s + q * r, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -122,8 +133,12 @@ class Q2Scalar:
 
     def _cmp(self, other: Q2Scalar | int) -> int:
         """Sign of self - other, with no reduction and no intermediate scalar."""
-        p, q, _ = self._cross(_coerce(other), -1)
-        return _sign(p, q)
+        if other.__class__ is not Q2Scalar:
+            other = Q2Scalar(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _sign(self._p - other._p, self._q - other._q)
+        return _sign(self._p * e - other._p * d, self._q * e - other._q * d)
 
     def __lt__(self, other: Q2Scalar | int) -> bool:
         return self._cmp(other) < 0
@@ -392,8 +407,12 @@ def moebius_apply(m: Mat2, d: Direction) -> Direction:
     the sign of the image x coordinate distinguishes angle 0 from angle pi.
     """
     if isinstance(d, ExactDirection):
-        # the numerators times a positive multiple of (x, y): the image, scaled by D x.d y.d
-        return _direction(*_act(_exact_ints(m), *_vector(d)))
+        ints = m._ints
+        if ints is None:
+            raise TypeError(_FLOAT_MATRIX)
+        # the numerators times (x, y) scaled by x.d y.d > 0: the image, scaled by D x.d y.d
+        x, y = d.x, d.y
+        return _direction(*_act(ints, x._p * y._d, x._q * y._d, y._p * x._d, y._q * x._d))
     a, b, c, e = m.as_floats()
     vx, vy = math.cos(d.theta), math.sin(d.theta)
     wx, wy = a * vx + b * vy, c * vx + e * vy
@@ -420,10 +439,14 @@ def moebius_chain(matrices, d: ExactDirection) -> ExactDirection:
     return _direction(xp, xq, yp, yq)
 
 
+# the one refusal of a float matrix acting on an exact direction
+_FLOAT_MATRIX = "exact direction needs a matrix with Q(sqrt 2) entries"
+
+
 def _exact_ints(m: Mat2) -> tuple:
-    """The numerators of m: the one refusal of a float matrix acting on an exact direction."""
+    """The numerators of m, refusing a float matrix."""
     if m._ints is None:
-        raise TypeError("exact direction needs a matrix with Q(sqrt 2) entries")
+        raise TypeError(_FLOAT_MATRIX)
     return m._ints
 
 

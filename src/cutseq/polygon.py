@@ -10,13 +10,16 @@ Q(sqrt 2): the vertices (vertex 0 turned clockwise by k pi / n), the dihedral
 isometries, the sector bounds cot(k pi / 2n) and the shear.  `is_exact(n)` is
 the one test of whether the table covers n (the square and the octagon); for
 every other n the same quantities are floats.  `sector_boundary` is the one
-source of the sector ends, exact or float, that the Farey map reads.
+source of the sector ends, exact or float, that the Farey map reads.  The
+fixed geometry of each side (vertex, edge, shift, normal and letter) is one
+table per n, exact or float, which traces and the interior tests read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 from .exact_arith import HALF_SQRT2, ONE, ZERO, ApproxDirection, ExactDirection, Mat2, Q2Scalar
@@ -60,10 +63,12 @@ def _unit(k: int, n: int) -> tuple:
     return math.cos(k * math.pi / n), math.sin(k * math.pi / n)
 
 
-def _outward(x, y, a, b):
-    """Offset of (x, y) along the outward (left, the polygon is clockwise) normal of side a -> b."""
-    (ax, ay), (bx, by) = a, b
-    return (x - ax) * (ay - by) + (y - ay) * (bx - ax)
+def _outward(x, y, side: tuple):
+    """Offset of (x, y) along the outward (left, the polygon is clockwise) normal
+    (ay - by, bx - ax) of a side a -> b, given by its `side_table` row: sides
+    have unit length, so a positive offset is the distance outside."""
+    ax, ay, ex, _, _, _, nx, _ = side
+    return (x - ax) * nx + (y - ay) * ex
 
 
 class LabeledPolygon(Record):
@@ -92,14 +97,16 @@ class LabeledPolygon(Record):
             raise CutseqError(_NO_EXACT)
         return v[side], v[(side + 1) % (2 * self.n)]
 
+    def side_table(self, exact: bool) -> tuple[tuple, ...]:
+        """The fixed geometry of each side, Q2Scalar or float, built once per n (`_side_table`)."""
+        return _side_table(self.n, exact)
+
     def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
         """Interior test (convexity): inside every outward half-plane by margin; NaN is outside."""
-        return all(_outward(x, y, *self.side_endpoints(k)) < -margin for k in range(2 * self.n))
+        return all(_outward(x, y, side) < -margin for side in self.side_table(False))
 
     def contains_exact(self, x: Q2Scalar, y: Q2Scalar) -> bool:
-        return all(
-            _outward(x, y, *self.exact_side_endpoints(k)).sign() < 0 for k in range(2 * self.n)
-        )
+        return all(_outward(x, y, side).sign() < 0 for side in self.side_table(True))
 
     def to_json(self) -> dict:
         return {
@@ -138,6 +145,27 @@ def build_polygon(n: int) -> LabeledPolygon:
         if abs(length - 1.0) > CONSTRUCTION_TOL:
             raise AssertionError(f"side {k} has length {length}")
     return poly
+
+
+@lru_cache(maxsize=None)
+def _side_table(n: int, exact: bool) -> tuple[tuple, ...]:
+    """(ax, ay, ex, ey, tx, ty, nx, code) of each side k = a -> b of the 2n-gon.
+
+    The vertex a, the edge e = b - a, the shift t = -(a + b) that carries the
+    side onto the opposite one, the x piece nx = ay - by of the outward normal
+    (its y piece is ex) and the byte of the side's letter: all a trace needs of
+    the polygon.  Exact Q(sqrt 2) scalars (`is_exact(n)` only) or floats, each
+    one operation on the endpoints.  `build_polygon` is the one constructor of
+    a polygon, so n is the key.
+    """
+    poly = build_polygon(n)
+    endpoints = poly.exact_side_endpoints if exact else poly.side_endpoints
+    table = []
+    for k in range(2 * n):
+        (ax, ay), (bx, by) = endpoints(k)
+        code = ord(poly.letter(k))
+        table.append((ax, ay, bx - ax, by - ay, -(ax + bx), -(ay + by), ay - by, code))
+    return tuple(table)
 
 
 # -- dihedral isometries -----------------------------------------------------
@@ -222,6 +250,12 @@ def sector_cot_bounds(n: int) -> tuple:
     return tuple(1.0 / math.tan(k * math.pi / (2 * n)) for k in range(1, 2 * n))
 
 
+@lru_cache(maxsize=None)
+def _negated_cot_bounds(n: int) -> tuple:
+    """-cot(k pi / 2n) for k = 1..2n-1, increasing: what `sector_of` bisects."""
+    return tuple(-bound for bound in sector_cot_bounds(n))
+
+
 def sector_boundary(k: int, n: int):
     """The direction of angle k pi / 2n, 0 <= k <= 2n: (1, 0), (cot k pi / 2n, 1) and (-1, 0)
     when is_exact(n), else the float angle, exactly pi at k = 2n."""
@@ -238,7 +272,7 @@ def sector_of(d: ExactDirection | ApproxDirection, n: int) -> int:
 
     The last sector is closed so that the angle pi lands in sector 2n-1; the
     angle 0 is in sector 0.  Exact directions are classified by exact inverse
-    slope comparisons.
+    slope comparisons, bisecting the fixed sector bounds.
     """
     if n < 2:  # one comparison on the hot Farey step; check_n holds the refusal
         check_n(n)
@@ -247,10 +281,7 @@ def sector_of(d: ExactDirection | ApproxDirection, n: int) -> int:
             raise CutseqError(_NO_EXACT)
         if d.is_horizontal:
             return 0 if d.x.sign() > 0 else 2 * n - 1
-        mu = d.mu()
-        for i, bound in enumerate(sector_cot_bounds(n)):
-            if mu > bound:
-                return i
-        return 2 * n - 1
+        # the first i with mu > cot((i + 1) pi / 2n), else 2n - 1: d is (mu, 1)
+        return bisect_right(_negated_cot_bounds(n), -d.x)
     i = int(math.floor(d.theta * (2 * n) / math.pi))
     return min(max(i, 0), 2 * n - 1)

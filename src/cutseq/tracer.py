@@ -5,7 +5,9 @@ the corresponding point of the opposite side (translation by twice the side
 midpoint, toward the center).  One tracer follows this boundary map as an
 interval exchange T on the coordinate s transverse to the direction, over
 floats (a vertex hit is within epsilon of a vertex) or over exact Q(sqrt 2)
-coordinates for n in {2, 4} (a vertex hit is exact).  One crossing is one
+coordinates for n in {2, 4} (a vertex hit is exact).  Its set-up reads the
+polygon's side table (vertex a, edge e, shift t per side) and forms only
+sigma = e x v per side, a x v and t x v per exit side.  One crossing is one
 bisect, one append and one addition to s.
 
 An exact run holds s, the interval ends and the shifts as Q2Scalar and needs
@@ -75,24 +77,20 @@ class TraceLog(Record):
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
 
-def _exit_sides(poly: LabeledPolygon, endpoints, px, py, vx, vy, slack, zero) -> list[tuple]:
+def _exit_sides(table: tuple, px, py, vx, vy, slack, zero) -> list[tuple]:
     """(ax, ay, ex, ey, tx, ty, sigma, k) of each exit side k, in side order.
 
-    An exit side has sigma = e x v > 0 (its outward normal dotted with v);
-    (tx, ty) = -(a + b) carries its points onto the opposite side.  The start
-    must lie in the closed polygon, as every re-entry point does, within `slack`.
+    a, e = b - a and t = -(a + b) are the side table's (`LabeledPolygon.side_table`);
+    an exit side has sigma = e x v > 0 (its outward normal dotted with v).  The
+    start must lie in the closed polygon, as every re-entry point does, within `slack`.
     """
     sides = []
-    for k in range(poly.side_count):
-        a, b = endpoints(k)
-        # sides have unit length, so the outward offset is the start's distance outside
-        if not _outward(px, py, a, b) <= slack:  # NaN fails too
+    for k, side in enumerate(table):
+        if not _outward(px, py, side) <= slack:  # NaN fails too
             raise CutseqError(f"start point lies outside side {k} of the polygon")
-        (ax, ay), (bx, by) = a, b
-        ex, ey = bx - ax, by - ay
-        sigma = ex * vy - ey * vx
+        sigma = side[2] * vy - side[3] * vx
         if sigma > zero:
-            sides.append((ax, ay, ex, ey, -(ax + bx), -(ay + by), sigma, k))
+            sides.append((*side[:6], sigma, k))
     return sides
 
 
@@ -117,14 +115,15 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
             raise CutseqError("exact tracing needs an exact direction")
         vx, vy = d.x, d.y
         px, py = ZERO + start[0], ZERO + start[1]  # exact from ints, Fractions or floats
-        endpoints, eps, zero, one = poly.exact_side_endpoints, ZERO, ZERO, ONE
+        eps, slack, zero, one = 0, ZERO, ZERO, ONE  # bands of width 0: a vertex is hit exactly
     else:
         t = direction_theta(d)
         vx, vy = math.cos(t), math.sin(t)
         px, py = float(start[0]), float(start[1])
-        endpoints, eps, zero, one = poly.side_endpoints, cfg.epsilon, 0.0, 1.0
-    sides = _exit_sides(poly, endpoints, px, py, vx, vy, eps, zero)
-    bounds, shifts, codes = _exchange(sides, vx, vy, eps, zero, one, poly.letter)
+        eps, slack, zero, one = cfg.epsilon, cfg.epsilon, 0.0, 1.0
+    table = poly.side_table(cfg.mode == "exact")
+    sides = _exit_sides(table, px, py, vx, vy, slack, zero)
+    bounds, shifts, codes = _exchange(sides, table, vx, vy, eps, zero)
     s0 = px * vy - py * vx
     if cfg.mode == "exact":
         path, band, period = _exact_steps(bounds, shifts, s0, cfg.max_crossings)
@@ -139,26 +138,27 @@ def _run(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple:
     return path.translate(codes).decode("ascii"), period, replay
 
 
-def _exchange(sides: list[tuple], vx, vy, eps, zero, one, letter) -> tuple[list, list, bytearray]:
+def _exchange(sides: list, table: tuple, vx, vy, eps, zero) -> tuple[list, list, bytearray]:
     """(bounds, shifts, codes): the boundary map as an interval exchange on s = p x v.
 
-    The exit sides, in the order of s (sorted here), cut s into consecutive
-    intervals [S_j, S_j + sigma_j] with side parameter u = (s - S_j) / sigma_j,
-    and re-entering from the opposite side adds the fixed shift t_j x v to s.
-    A vertex hit is a band at each end of interval j, eps * sigma_j wide (0
-    over Q(sqrt 2)).  `bounds` alternates band and interior ends, so the bisect
-    index 2j + 1 is the interior of interval j, with shift `shifts[2j + 1]` and
-    letter `codes[2j + 1]`, and an even index a band or outside.
+    The exit sides, in the order of s (sorted here by S_j = a_j x v), cut s into
+    consecutive intervals [S_j, S_j + sigma_j] with side parameter u = (s - S_j) / sigma_j,
+    and re-entering from the opposite side adds the fixed shift t_j x v to s.  A
+    vertex hit is a band at each end of interval j, eps * sigma_j wide (eps is 0,
+    no band, over Q(sqrt 2)).  `bounds` alternates band and interior ends, so the
+    bisect index 2j + 1 is the interior of interval j, with shift `shifts[2j + 1]`
+    and letter `codes[2j + 1]` (the side table's), and an even index a band or outside.
     """
-    sides.sort(key=lambda side: side[0] * vy - side[1] * vx)
-    lower = sides[0][0] * vy - sides[0][1] * vx
+    starts = [side[0] * vy - side[1] * vx for side in sides]
+    order = sorted(range(len(sides)), key=starts.__getitem__)
+    sides[:], upper = [sides[j] for j in order], starts[order[0]]
     bounds, shifts, codes = [], [zero], bytearray(256)
     for j, (_, _, _, _, tx, ty, sigma, k) in enumerate(sides):
         # chained through sigma, so the intervals tile [S_0, S_m] and bounds is sorted
-        bounds += [lower + eps * sigma, lower + (one - eps) * sigma]
+        lower, upper = upper, upper + sigma
+        bounds += (lower + eps * sigma, lower + (1.0 - eps) * sigma) if eps else (lower, upper)
         shifts += [tx * vy - ty * vx, zero]
-        codes[2 * j + 1] = ord(letter(k))
-        lower += sigma
+        codes[2 * j + 1] = table[k][7]
     return bounds, shifts, codes
 
 

@@ -362,6 +362,30 @@ def test_sector_endpoints_and_fixed_points_match_reference(n):
                for i in range(2 * n - 1))
 
 
+def linear_sector_of(d, n):
+    """The exact sector rule walked bound by bound: the first i with mu > cot((i + 1) pi / 2n)."""
+    if d.is_horizontal:
+        return 0 if d.x.sign() > 0 else 2 * n - 1
+    return next((i for i, bound in enumerate(sector_cot_bounds(n)) if d.mu() > bound), 2 * n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_exact_sector_of_bisect_matches_linear_rule(n):
+    """On every sector boundary, 10^-6 either side of it, on both horizontals and on
+    random cots, small and with large coefficients."""
+    rng = random.Random(n)
+    tiny = q2(Fraction(1, 10**6))
+    cots = [bound + shift for bound in sector_cot_bounds(n) for shift in (-tiny, q2(0), tiny)]
+    for size in (3, 10**12):
+        cots += [q2(Fraction(rng.randint(-size, size), rng.randint(1, size)),
+                    Fraction(rng.randint(-size, size), rng.randint(1, size))) for _ in range(200)]
+    directions = [sector_boundary(k, n) for k in range(2 * n + 1)]
+    directions += [ExactDirection.horizontal(True), ExactDirection.horizontal(False)]
+    directions += [ExactDirection.from_cot(mu) for mu in cots]
+    for d in directions:
+        assert sector_of(d, n) == linear_sector_of(d, n), d
+
+
 @pytest.mark.parametrize("n", [75, 150, 167])
 def test_last_sector_ends_exactly_at_pi(n):
     # 2n fl(pi / 2n) rounds below pi here; the last sector still ends on the fixed point pi

@@ -9,7 +9,6 @@ from cutseq.coherence import decompose_candidates
 from cutseq.exact_arith import ApproxDirection
 from cutseq.generation import (
     InvalidPrefixError,
-    SynthesisFailure,
     build_family,
     enumerate_factors,
     generate,
@@ -26,7 +25,6 @@ from cutseq.symbolic import (
     build_diagram,
     derive,
     factor_set,
-    word_text,
 )
 from cutseq.tracer import TraceConfig, trace_word
 

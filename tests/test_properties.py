@@ -788,6 +788,34 @@ def test_q2scalar_matches_fraction_pairs(x, y):
 
 
 @FAST
+@given(scalar_pairs(), st.one_of(st.integers(-BIG, BIG), coefficients()))
+@example((0, 0), 0)
+@example((3, 0), 3)
+@example((Fraction(1, 3), 0), Fraction(1, 3))
+@example((1, 1), -2)
+def test_q2scalar_mixed_operands_match_fraction_pairs(x, k):
+    """An int or a Fraction k on either side of an operation acts as the scalar k,
+    and results are canonical.  == does not coerce: a scalar never equals an int or
+    a Fraction, whose hashes differ from its own."""
+    q, r, rk = Q2Scalar(*x), PairQ2(*x), PairQ2(k, 0)
+    assert same(q + k, r + rk) and same(k + q, rk + r)
+    assert same(q - k, r - rk) and same(k - q, rk - r)
+    assert same(q * k, r * rk) and same(k * q, rk * r)
+    assert same(-q, PairQ2(0, 0) - r)
+    for num, den, ref_num, ref_den in ((q, k, r, rk), (k, q, rk, r)):
+        if ref_den.a == 0 and ref_den.b == 0:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+        else:
+            assert same(num / den, ref_num * ref_den.inverse())
+    s = (r - rk).sign()
+    assert (q < k, q <= k, q > k, q >= k) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (k < q, k <= q, k > q, k >= q) == (s > 0, s >= 0, s < 0, s <= 0)
+    assert not q == k and not k == q and q != k and k != q
+    assert (q == Q2Scalar(k)) == (s == 0)
+
+
+@FAST
 @given(scalar_pairs(), scalar_pairs(), coefficients())
 def test_q2scalar_equal_values_share_repr_and_hash(x, y, k):
     qx, qy = Q2Scalar(*x), Q2Scalar(*y)
@@ -1061,8 +1089,8 @@ def test_power_table_pieces_hold_at_their_edges(ray, k):
     the piece's K crossings as the one-step loop does."""
     poly, _, theta, eps, _ = ray
     vx, vy = math.cos(theta), math.sin(theta)
-    sides = tracer._exit_sides(poly, poly.side_endpoints, 0.0, 0.0, vx, vy, eps, 0.0)
-    bounds, shifts, _ = tracer._exchange(sides, vx, vy, eps, 0.0, 1.0, poly.letter)
+    sides = tracer._exit_sides(poly.side_table(False), 0.0, 0.0, vx, vy, eps, 0.0)
+    bounds, shifts, _ = tracer._exchange(sides, poly.side_table(False), vx, vy, eps, 0.0)
     table = tracer._power_table(bounds, shifts, k)
     assume(table is not None)  # the fallback test covers a refused table
     edges, pieces = table
@@ -1320,6 +1348,115 @@ def test_integer_pullbacks_match_stepwise_moebius(case):
         assert got.lo == got.hi == point and repr(got.lo) == repr(point)
 
 
+# -- the tracer's set-up against one built from the side endpoints -------------------
+
+
+def setup_reference(poly, exact, px, py, vx, vy, eps):
+    """(sides, bounds, shifts, codes) of the interval exchange, built from the side
+    endpoints with no table: each exit side (sigma = e x v > 0) as the tuple
+    (ax, ay, ex, ey, tx, ty, sigma, k), sorted by a x v, the bounds with bands
+    eps * sigma wide (eps is ZERO over Q(sqrt 2)), the shifts t x v and the letter
+    codes.  A start outside side k by more than eps is refused."""
+    endpoints = poly.exact_side_endpoints if exact else poly.side_endpoints
+    zero, one = (ZERO, ONE) if exact else (0.0, 1.0)
+    sides = []
+    for k in range(poly.side_count):
+        (ax, ay), (bx, by) = endpoints(k)
+        if not (px - ax) * (ay - by) + (py - ay) * (bx - ax) <= eps:
+            raise CutseqError(f"start point lies outside side {k} of the polygon")
+        ex, ey = bx - ax, by - ay
+        sigma = ex * vy - ey * vx
+        if sigma > zero:
+            sides.append((ax, ay, ex, ey, -(ax + bx), -(ay + by), sigma, k))
+    sides.sort(key=lambda side: side[0] * vy - side[1] * vx)
+    lower = sides[0][0] * vy - sides[0][1] * vx
+    bounds, shifts, codes = [], [zero], bytearray(256)
+    for j, (_, _, _, _, tx, ty, sigma, k) in enumerate(sides):
+        bounds += [lower + eps * sigma, lower + (one - eps) * sigma]
+        shifts += [tx * vy - ty * vx, zero]
+        codes[2 * j + 1] = ord(poly.letter(k))
+        lower += sigma
+    return sides, bounds, shifts, codes
+
+
+def tracer_setup(poly, exact, px, py, vx, vy, eps):
+    """The tracer's set-up as `tracer._run` calls it: eps is the start's slack, and the
+    bands are eps * sigma wide over floats and absent over Q(sqrt 2)."""
+    table, zero = poly.side_table(exact), ZERO if exact else 0.0
+    sides = tracer._exit_sides(table, px, py, vx, vy, eps, zero)
+    return (sides, *tracer._exchange(sides, table, vx, vy, 0 if exact else eps, zero))
+
+
+def refused_or(setup, *args):
+    """setup(*args), or the text of its refusal."""
+    try:
+        return setup(*args)
+    except CutseqError as refusal:
+        return str(refusal)
+
+
+def hexed(value):
+    """Every float as its float.hex() text, through tuples and lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [hexed(v) for v in value]
+    return value
+
+
+def exact_starts():
+    """Grid points inside both exact polygons, on their boundary or outside them."""
+    grid = st.builds(Fraction, st.integers(-40, 40), st.sampled_from((13, 17, 29)))
+    return st.tuples(grid.map(Q2Scalar), grid.map(Q2Scalar))
+
+
+@FAST
+@given(exact_rays(), st.one_of(st.none(), exact_starts()))
+def test_exact_setup_matches_endpoint_reference(ray, other_start):
+    """Random exact directions over the square and the octagon, from starts inside,
+    on the boundary and outside, where the same side refuses the start."""
+    poly, start, d, _ = ray
+    px, py = other_start or start
+    args = (poly, True, px, py, d.x, d.y, ZERO)
+    assert refused_or(tracer_setup, *args) == refused_or(setup_reference, *args)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("cot", [-1, 0, 1])
+def test_exact_setup_matches_endpoint_reference_on_side_parallel_rays(n, cot):
+    """cot -1, 0 and 1 run parallel to two sides of the octagon (sigma = 0 there),
+    and through vertices of the square."""
+    poly, d = build_polygon(n), ExactDirection.from_cot(cot)
+    for px, py in [(ZERO, ZERO), (Q2Scalar(Fraction(1, 10)), Q2Scalar(Fraction(1, 7))),
+                   (Q2Scalar(Fraction(-1, 2)), ZERO), (ONE, ONE)]:
+        args = (poly, True, px, py, d.x, d.y, ZERO)
+        got = refused_or(tracer_setup, *args)
+        assert got == refused_or(setup_reference, *args)
+        if px == ONE:  # outside the square's top side 0, the octagon's side 1
+            assert got == f"start point lies outside side {n // 4} of the polygon"
+        else:  # the octagon's sides parallel to the ray and the square's vertical ones drop
+            assert len(got[0]) == n - (n == 4 or cot == 0)
+            assert all(side[6] > ZERO for side in got[0])
+
+
+@FAST
+@given(float_rays(), st.sampled_from((1.0, 1.5, 3.0)))
+def test_float_setup_matches_endpoint_reference_bit_for_bit(ray, scale):
+    """Float rays, from starts in the inscribed disc and scaled out of the polygon."""
+    poly, (x, y), theta, eps, _ = ray
+    args = (poly, False, x * scale, y * scale, math.cos(theta), math.sin(theta), eps)
+    assert hexed(refused_or(tracer_setup, *args)) == hexed(refused_or(setup_reference, *args))
+
+
+def test_exact_start_outside_the_polygon_is_refused():
+    cfg = TraceConfig(max_crossings=10, mode="exact")
+    d = ExactDirection.from_cot(Q2Scalar(1, 1))
+    for n, start, k in [(4, (ZERO, 2 * ONE), 0), (2, (ZERO, -ONE), 2),
+                        (4, (Q2Scalar(Fraction(-3, 2)), ZERO), 6)]:
+        with pytest.raises(CutseqError, match=f"^start point lies outside side {k} of the polygon$"):
+            trace_word(build_polygon(n), start, d, cfg)
+
+
 # -- the tiled exact tracer against the per-crossing one --------------------------------
 
 
@@ -1335,8 +1472,7 @@ def per_crossing_exact_run(poly, start, d, budget):
     points, period), or ("vertex", crossing, side)."""
     vx, vy = d.x, d.y
     px, py = ZERO + start[0], ZERO + start[1]
-    sides = tracer._exit_sides(poly, poly.exact_side_endpoints, px, py, vx, vy, ZERO, ZERO)
-    bounds, shifts, codes = tracer._exchange(sides, vx, vy, ZERO, ZERO, ONE, poly.letter)
+    sides, bounds, shifts, codes = setup_reference(poly, True, px, py, vx, vy, ZERO)
     s = px * vy - py * vx
     path = bytearray()
     for _ in range(budget):
