@@ -167,9 +167,7 @@ class RenormalizationStep(Record):
 class RenormalizationTrace(Record):
     __slots__ = _fields = ("steps", "failure", "ambiguous_set", "tail", "split")
     # failure: "inadmissible" | "ambiguous" | "window_exhausted"; split: (step, candidate pair)
-    _defaults = ([], None, (), None, None)
-    # mutable: assignable, deletable and unhashable
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _defaults = ((), None, (), None, None)
 
     @property
     def diagrams(self) -> tuple[int, ...]:
@@ -219,55 +217,54 @@ def renormalize(
     coherence with the previous step, which pins the entry except at the tail
     split of periodic words (where the itinerary form is chosen and the split
     recorded).  Halts early on inadmissibility, unresolvable ambiguity, or a
-    window running out of letters, reporting which.  A given start_diagram
-    must be a sector index.
+    window running out of letters, reporting which; a fixed tail repeats its
+    step up to max_depth.  The frozen trace is built once, at the end, with its
+    steps a tuple.  A given start_diagram must be a sector index.
     """
     check_count(max_depth, "max_depth")
     if start_diagram is not None:
         check_sector(start_diagram, n)
-    trace = RenormalizationTrace()
+    steps: list[RenormalizationStep] = []
+    failure, ambiguous, tail, split = None, (), None, None
     cur: Wordlike | None = w
     for k in range(max_depth):
         if is_exhausted(cur):
-            trace.failure = "window_exhausted"
-            return trace
+            failure = "window_exhausted"
+            break
         found = admissible_diagrams(cur, n)
         if not found:
-            trace.failure = "inadmissible"
-            return trace
+            failure = "inadmissible"
+            break
         if k == 0 and start_diagram is not None:
             if start_diagram not in found:
-                trace.failure = "inadmissible"
-                return trace
+                failure = "inadmissible"
+                break
             d = start_diagram
         elif len(found) == 1:
             d = found[0]
         elif k == 0:
-            trace.failure = "ambiguous"
-            trace.ambiguous_set = found
-            return trace
+            failure, ambiguous = "ambiguous", found
+            break
         else:
             # cur = derive(prev.normalized) and found = admissible_diagrams(cur), so this is
             # decompose_candidates(prev.word, prev.diagram) without deriving the level again
-            allowed = _coherent_sectors(trace.steps[-1].normalized, cur, found, n)
+            allowed = _coherent_sectors(steps[-1].normalized, cur, found, n)
             if len(allowed) == 1:
                 d = allowed[0]
             elif len(allowed) == 2 and abs(allowed[0] - allowed[1]) == 1:
-                trace.split = (k, tuple(sorted(allowed)))
+                split = (k, tuple(sorted(allowed)))
                 d = _resolve_split(cur, allowed, n)
             else:
-                trace.failure = "ambiguous"
-                trace.ambiguous_set = found
-                return trace
+                failure, ambiguous = "ambiguous", found
+                break
         normalized = permute(sector_permutation(d, n), cur)
-        trace.steps.append(RenormalizationStep(cur, d, normalized))
+        steps.append(RenormalizationStep(cur, d, normalized))
         if _is_fixed_tail_word(cur, d, n):
-            trace.tail = d
-            for _ in range(k + 1, max_depth):
-                trace.steps.append(RenormalizationStep(cur, d, normalized))
-            return trace
+            tail = d
+            steps += steps[-1:] * (max_depth - k - 1)
+            break
         cur = derive(normalized)
-    return trace
+    return RenormalizationTrace(tuple(steps), failure, ambiguous, tail, split)
 
 
 def recognize_direction(w: Wordlike, max_depth: int, n: int = 4) -> SectorInterval:

@@ -61,12 +61,19 @@ class Q2Scalar:
         return Fraction(self._q, self._d)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Q2Scalar):
-            return self._p == other._p and self._q == other._q and self._d == other._d
-        return NotImplemented
+        # == coerces what the order comparisons do; a rational scalar hashes as its value
+        if other.__class__ is not Q2Scalar:
+            if isinstance(other, float) and not math.isfinite(other):
+                return False
+            if not isinstance(other, (int, float, Fraction)):
+                return NotImplemented
+            other = Q2Scalar(other)
+        return self._p == other._p and self._q == other._q and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self._p, self._q, self._d))
+        if self._q:
+            return hash((self._p, self._q, self._d))
+        return hash(self._p) if self._d == 1 else hash(Fraction(self._p, self._d))
 
     def __repr__(self) -> str:
         return f"Q2Scalar(a={self.a!r}, b={self.b!r})"

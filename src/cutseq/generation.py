@@ -23,6 +23,7 @@ for the wrap pair, and drops it again.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .farey import InvalidPrefixError, _check_prefix, itinerary
 from .symbolic import (
@@ -52,24 +53,24 @@ class SynthesisFailure(CutseqError):
 
 
 @lru_cache(maxsize=None)
-def sandwich_group(l: int, n: int) -> dict[str, str]:
+def sandwich_group(l: int, n: int) -> MappingProxyType[str, str]:
     """Group index l in 0..n-1: the letter that must sandwich each letter.
 
     Letters with index j <= n - l are sandwiched by their image under the
     reflection permutation j -> n+1-j, the rest by the vertical-reflection
-    permutation (1 fixed, j -> n+2-j).
+    permutation (1 fixed, j -> n+2-j).  The map is cached, so it is a read-only view.
     """
     if not 0 <= l < n:
         raise SectorIndexError(f"sandwich group index {l} outside 0..{n - 1}")
     # l < n puts letter 1 in the first range, so the second never meets its fixed letter
-    return {letter_at(j): letter_at(n + 1 - j if j <= n - l else n + 2 - j)
-            for j in range(1, n + 1)}
+    return MappingProxyType({letter_at(j): letter_at(n + 1 - j if j <= n - l else n + 2 - j)
+                             for j in range(1, n + 1)})
 
 
 class InterpolationTable(Record):
     """Interpolating words for every edge of every sector diagram k = 1..2n-1."""
 
-    __slots__ = _fields = ("n", "words")  # words: {(k, a, b): word}
+    __slots__ = _fields = ("n", "words")  # words: {(k, a, b): word}, read-only when cached
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +81,8 @@ def synthesize_table(n: int) -> InterpolationTable:
     stretch of the sector-0 walk from L1 to L2 must match the sandwich group
     floor(k/2) at both ends: its second letter must sandwich L1 and its last
     but one L2.  The word is the stretch's inner letters; when there are none,
-    those two letters are L2 and L1, which must sandwich each other.
+    those two letters are L2 and L1, which must sandwich each other.  The
+    table is cached, so its words are a read-only view.
     """
     if n < 3:
         raise CutseqError("generation needs an alphabet of at least 3 letters")
@@ -101,7 +103,7 @@ def synthesize_table(n: int) -> InterpolationTable:
                     f"interpolations {candidates!r}"
                 )
             words[(k, a, b)] = candidates[0]
-    return InterpolationTable(n, words)
+    return InterpolationTable(n, MappingProxyType(words))
 
 
 @lru_cache(maxsize=None)

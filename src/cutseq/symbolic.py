@@ -89,13 +89,10 @@ class SectorIndexError(CutseqError, IndexError):
 class Record:
     """__init__, ==, hash and repr over the slots named in `_fields`, as dataclasses write them.
 
-    `_defaults` holds the defaults of the last fields (a `[]` gives each record
-    its own list, as passing None does), and `__init__` ends in the class's
-    `__post_init__`, if any.  A record is frozen: a later assignment or deletion
-    raises AttributeError, so `__init__` fills each slot through the slot's
-    `__set__`, faster than `object.__setattr__`.  A mutable record puts back
-    `object.__setattr__` and `object.__delattr__` and sets `__hash__ = None`; its
-    `__init__` assigns, which takes half the time of a `__set__` call.
+    `_defaults` holds the defaults of the last fields, and `__init__` ends in the
+    class's `__post_init__`, if any.  A record is frozen: a later assignment or
+    deletion raises AttributeError, so `__init__` fills each slot through the
+    slot's `__set__`, faster than `object.__setattr__`.
     """
 
     __slots__ = ()
@@ -104,15 +101,11 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         """Compile the class's __init__, == and hash, keeping any it has already."""
-        fields, defaults = cls._fields, cls._defaults
-        lists = {f for f, d in zip(fields[len(fields) - len(defaults):], defaults) if d == []}
-        values = {f: f"[] if {f} is None else {f}" if f in lists else f for f in fields}
-        mutable = cls.__setattr__ is object.__setattr__
-        store = " self.{0} = {1}\n" if mutable else " _set_{0}(self, {1})\n"
+        fields = cls._fields
         mine = "(" + "".join(f"self.{f}, " for f in fields) + ")"  # a dataclass hashes 1-tuples
         source = (
             f"def __init__(self, {', '.join(fields)}):\n"
-            + "".join(store.format(f, v) for f, v in values.items())
+            + "".join(f" _set_{f}(self, {f})\n" for f in fields)
             + (" self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
             + "def __eq__(self, other):\n"
             " if other.__class__ is not self.__class__:\n"
@@ -122,8 +115,8 @@ class Record:
         )
         methods = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
         exec(compile(source, f"<record {cls.__qualname__}>", "exec"), methods)
-        methods["__init__"].__defaults__ = tuple(None if d == [] else d for d in defaults)
-        for name in ("__init__", "__eq__", "__hash__"):  # not over PeriodicWord's or a mutable's
+        methods["__init__"].__defaults__ = cls._defaults
+        for name in ("__init__", "__eq__", "__hash__"):  # not over PeriodicWord's
             if getattr(cls, name) is getattr(object, name):
                 method = methods[name]
                 method.__qualname__ = f"{cls.__qualname__}.{name}"
@@ -330,17 +323,6 @@ def _wrapped(w: Wordlike, held: bool = False) -> str:
     return word_text(w)
 
 
-def _pairs(w: Wordlike):
-    """Adjacent letter pairs in order; a periodic word's wrap pair comes last."""
-    t = _wrapped(w)
-    return zip(t[1:], t[2:]) if isinstance(w, PeriodicWord) else zip(t, t[1:])
-
-
-def transitions(w: Wordlike) -> list[tuple[str, str]]:
-    """Adjacent letter pairs; for periodic words this includes the wrap pair."""
-    return list(_pairs(w))
-
-
 # The code route beats one zip over the text only on long texts (Python 3.11):
 # at 96 letters the two cost about the same (the zip up to 30% less for a
 # dodecagon sandwich profile), from 250 letters on the codes win, 4-5 times at
@@ -379,8 +361,8 @@ def _pair_codes(t: str) -> tuple[list[tuple[int, str]], int, int] | None:
 def transition_set(w: Wordlike) -> frozenset[tuple[str, str]]:
     """Distinct adjacent letter pairs (admissibility only needs the set).
 
-    The wrapped text has the same pairs as `_pairs`; on the code route each
-    pair of present letters is one byte search in the pair codes (module doc).
+    The wrapped text holds every adjacent pair, a period's wrap pair too; on the
+    code route each pair of present letters is one byte search (module doc).
     """
     return _pair_set(_wrapped(w, held=True))
 
@@ -641,14 +623,6 @@ def _sandwiched_letters(t: str) -> str:
     # read big-endian, the low m bytes of v >> 8 are the letters that have both neighbours
     v, m = int.from_bytes(t.encode("ascii"), "big"), max(len(t) - 2, 0)
     return _mark_unsandwiched(v >> 8, v, m).translate(None, b"\xff").decode("ascii")
-
-
-def derive_times(w: Wordlike, count: int):
-    for _ in range(count):
-        if is_exhausted(w):
-            return w
-        w = derive(w)
-    return w
 
 
 def square_derive(word: str) -> str:

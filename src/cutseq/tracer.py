@@ -72,9 +72,7 @@ class Crossing(Record):
 
 class TraceLog(Record):
     __slots__ = _fields = ("direction", "start", "crossings")
-    _defaults = ([],)
-    # mutable: assignable, deletable and unhashable
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _defaults = ((),)
 
 
 def _exit_sides(table: tuple, px, py, vx, vy, slack, zero) -> list[tuple]:
@@ -335,8 +333,8 @@ def trace(poly: LabeledPolygon, start, d: Direction, cfg: TraceConfig) -> tuple[
     """Cutting sequence of max_crossings crossings, with the full crossing log."""
     word, period, replay = _run(poly, start, d, cfg)
     # the log holds float points; an exact one repeats from its first return
-    crossings = [Crossing(letter, (float(x), float(y)), k)
-                 for letter, (_, k, _, (x, y), _) in zip(word[:period], replay())]
+    crossings = tuple([Crossing(letter, (float(x), float(y)), k)
+                       for letter, (_, k, _, (x, y), _) in zip(word[:period], replay())])
     if period is not None:
         crossings = (crossings * -(-len(word) // period))[:len(word)]
     return word, TraceLog(d, tuple(start), crossings)

@@ -488,6 +488,20 @@ def test_periodic_marker_is_read_once(capsys):
     assert run_json(capsys, "derive", "--word", " per:AB")["derived"] == "per:AB"
 
 
+def test_derive_times_counts_and_exhaustion(capsys):
+    window = "AADBDAAAADBDBCBDBDAAAADBDAAAADBDAAAADBDBCBDBDAAADBDBDAAADB"
+    once = run_json(capsys, "derive", "--word", window)["derived"]
+    twice = run_json(capsys, "derive", "--word", once)["derived"]
+    doc = run_json(capsys, "derive", "--word", window, "--times", "2")
+    assert (doc["derived"], doc["exhausted_at"]) == (twice, None)
+    # exhaustion stops the count early: a window runs out of letters, a period of them
+    assert run_json(capsys, "derive", "--word", "ADADAD", "--times", "6")["derived"] == ""
+    code, out, _ = run(capsys, "derive", "--word", "per:ABC", "--times", "3")
+    assert code == 0 and '"derived": null, "exhausted_at": 1' in out
+    code, out, _ = run(capsys, "derive", "--word", "per:AAB", "--times", "4")
+    assert code == 0 and '"per:B"' in out
+
+
 def test_derive_labelled_periodic_word(capsys):
     doc = run_json(capsys, "derive", "--word", "per:L1 L2 L1 L3", "--n", "6", "--times", "2")
     assert doc["derived"] == "per:L2 L3"

@@ -237,3 +237,14 @@ def test_only_exact_arith_knows_the_integer_format():
                     if alias.name in ("RADICAND", "SQRT2_FLOAT") or alias.name.startswith("_")
                 ]
     assert leaks == []
+
+
+def test_q2scalar_equality_coerces_as_the_order_does():
+    three, half = Q2Scalar(3), Q2Scalar(Fraction(1, 2))
+    assert three == 3 and 3 == three and three <= 3 and hash(three) == hash(3)
+    assert half == Fraction(1, 2) == 0.5 and hash(half) == hash(Fraction(1, 2)) == hash(0.5)
+    assert Q2Scalar(3, 1) != 3 and half != 0.25 and Q2Scalar(0) == 0 == -0.0
+    for other in (math.nan, math.inf, -math.inf, "3", None, (3,)):
+        assert three != other and not three == other and not other == three
+    assert three.__eq__("3") is NotImplemented and three.__eq__(math.nan) is False
+    assert {three: "x"}[3] == "x" and len({Q2Scalar(2), 2, 2.0, Fraction(2)}) == 1

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from cutseq.coherence import decompose_candidates
+from cutseq.coherence import check_coherent, decompose_candidates
 from cutseq.exact_arith import ApproxDirection
 from cutseq.generation import (
     InvalidPrefixError,
@@ -35,6 +35,18 @@ def canon(words):
 
 def per(s):
     return PeriodicWord.of(s)
+
+
+def test_cached_tables_are_read_only():
+    # a write to a cached table would reach every later caller
+    w = per("ADBCBCCBCBDADBCBCCBCCBCBD")
+    before = check_coherent(w, 0, 1)
+    with pytest.raises(TypeError):
+        sandwich_group(0, 4)["B"] = "A"
+    with pytest.raises(TypeError):
+        synthesize_table(4).words[(3, "D", "B")] = "A"
+    assert sandwich_group(0, 4)["B"] == "C" and synthesize_table(4).words[(3, "D", "B")] == "BCC"
+    assert check_coherent(w, 0, 1) == before and before.accepted
 
 
 def test_sandwich_groups_octagon():

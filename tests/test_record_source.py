@@ -4,7 +4,7 @@ The source of every module is read: no record writes its own __init__, only
 PeriodicWord its own == and hash (equality up to rotation), and no module but
 symbolic fills a slot by hand.  Each compiled __init__ takes the parameters of
 the dataclass twin in tests/test_records.py, in order, with the same defaults,
-and assigns its fields only where the record is mutable.
+and fills every field through its slot's __set__.
 """
 
 import ast
@@ -12,7 +12,7 @@ import inspect
 from pathlib import Path
 
 import pytest
-from test_records import CASES, LIST, twin
+from test_records import CASES, twin
 
 import cutseq
 
@@ -46,22 +46,19 @@ def test_only_symbolic_fills_slots_by_hand(path):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.cls.__name__)
 def test_init_signature_matches_the_twin(case):
-    # the twin annotates every field and shows a list factory as <factory>; ours, None
-    lists = {name for name, default in case.fields if default is LIST}
-
+    # the twin annotates every field; ours annotates none
     def bare(cls):
-        return [
-            (p.name, p.kind, None if p.name in lists else p.default)
-            for p in inspect.signature(cls).parameters.values()
-        ]
+        return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
 
     assert bare(case.cls) == bare(twin(case))
 
 
-def test_only_mutable_records_assign_in_init():
-    # assignment takes half the time of a slot's __set__, which a frozen record needs
-    mutable = {c.cls.__name__ for c in CASES if c.cls.__setattr__ is object.__setattr__}
-    assert mutable == {"TraceLog", "RenormalizationTrace"}
+def test_every_record_init_fills_its_slots_through_set():
+    # every record is frozen: none puts back object.__setattr__, and __init__ stores no field
     for case in CASES:
-        calls = {n for n in case.cls.__init__.__code__.co_names if n.startswith("_set_")}
-        assert bool(calls) is (case.cls.__name__ not in mutable), case.cls.__name__
+        cls, names = case.cls, [name for name, _ in case.fields]
+        assert cls.__setattr__ is not object.__setattr__ and cls.__hash__ is not None
+        assert "__setattr__" not in vars(cls) and "__delattr__" not in vars(cls)
+        code = cls.__init__.__code__
+        assert [n for n in code.co_names if n.startswith("_set_")] == [f"_set_{n}" for n in names]
+        assert not set(names) & set(code.co_names), cls.__name__

@@ -1,15 +1,16 @@
 """cutseq's records behave as the dataclasses they replace.
 
 Each record is compared with a twin built here by `dataclasses.make_dataclass`
-from the old fields, defaults, `frozen` flag and `__post_init__` refusals:
-repr, ==, hash (or the TypeError of an unhashable record), positional and
-keyword construction with defaults, the refusals' exception type and text, and
-AttributeError on assigning to or deleting a field of a frozen record.
+from the old fields, defaults and `__post_init__` refusals, frozen as every
+record is: repr, ==, hash (or the TypeError of a record holding a dict),
+positional and keyword construction with defaults, the refusals' exception type
+and text, and AttributeError on assigning to or deleting a field.
 """
 
 import dataclasses
 import math
 from dataclasses import MISSING, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -33,8 +34,10 @@ from cutseq import (
     TraceLog,
     TransitionDiagram,
 )
-from cutseq.coherence import RenormalizationStep
+from cutseq.coherence import RenormalizationStep, renormalize
+from cutseq.polygon import build_polygon
 from cutseq.symbolic import letters_for
+from cutseq.tracer import trace
 
 # the former __post_init__ methods, word for word
 
@@ -67,15 +70,11 @@ def config_check(self):
         raise CutseqError(f"unknown mode {self.mode!r}")
 
 
-LIST = object()  # a default_factory=list field
-
-
 class Case(NamedTuple):
     cls: type
-    fields: tuple  # (name, default or MISSING or LIST)
+    fields: tuple  # (name, default or MISSING)
     args: tuple  # every field, positionally
     other: tuple  # an unequal record, defaults left out
-    frozen: bool = True
     check: object = None
     refused: tuple = ()  # argument tuples the check refuses
     hidden: tuple = ()  # init=False, repr=False, compare=False fields
@@ -110,15 +109,15 @@ CASES = [
          refused=((0.0, 10), (math.nan,), (0.5,), (1e-9, 0), (1e-9, 10, "fast"))),
     Case(Crossing, (("letter", REQ), ("point", REQ), ("side", REQ)), ("A", (0.5, 0.25), 1),
          ("B", (0.5, 0.25), 1)),
-    Case(TraceLog, (("direction", REQ), ("start", REQ), ("crossings", LIST)),
-         (A, (0.1, 0.2), [Crossing("A", (0.5, 0.25), 0)]), (A, (0.1, 0.2)), frozen=False),
+    Case(TraceLog, (("direction", REQ), ("start", REQ), ("crossings", ())),
+         (A, (0.1, 0.2), (Crossing("A", (0.5, 0.25), 0),)), (A, (0.1, 0.2))),
     Case(CoherenceVerdict, (("accepted", REQ), ("failed", None), ("groups", ())),
          (False, "C2", (1, 2)), (True,)),
     Case(RenormalizationStep, (("word", REQ), ("diagram", REQ), ("normalized", REQ)),
          ("ADBD", 3, "BCAC"), ("ADBD", 4, "BCAC")),
-    Case(RenormalizationTrace, (("steps", LIST), ("failure", None), ("ambiguous_set", ()),
+    Case(RenormalizationTrace, (("steps", ()), ("failure", None), ("ambiguous_set", ()),
                                 ("tail", None), ("split", None)),
-         ([STEP], "ambiguous", (1, 2), 7, (1, (2, 3))), (), frozen=False),
+         ((STEP,), "ambiguous", (1, 2), 7, (1, (2, 3))), ()),
 ]
 
 
@@ -127,13 +126,11 @@ def twin(case: Case) -> type:
     for name, default in case.fields:
         if default is MISSING:
             specs.append(name)
-        elif default is LIST:
-            specs.append((name, object, field(default_factory=list)))
         else:
             specs.append((name, object, field(default=default)))
     specs += [(name, object, field(init=False, repr=False, compare=False)) for name in case.hidden]
     namespace = {"__post_init__": case.check} if case.check else {}
-    return dataclasses.make_dataclass(case.cls.__name__, specs, frozen=case.frozen,
+    return dataclasses.make_dataclass(case.cls.__name__, specs, frozen=True,
                                       namespace=namespace)
 
 
@@ -167,25 +164,11 @@ def test_record_matches_its_dataclass_twin(case):
     sub = type("Sub", (case.cls,), {"__slots__": ()})(*case.args)  # a subclass is another class
     assert ours != sub and ours.__eq__(sub) is NotImplemented
     assert not hasattr(ours, "__dict__")  # slots only
-    ref = Twin(*case.args)
     for name in names:
-        if case.frozen:
-            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
-                setattr(ours, name, None)
-            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
-                delattr(ours, name)
-        else:  # assignable and deletable, one field after another
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(ours, name, None)
-            setattr(ref, name, None)
-            same(ours, ref)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(ours, name)
-            assert not hasattr(ours, name)
-            setattr(ours, name, None)
-    if any(default is LIST for _, default in case.fields):
-        assert case.cls(*case.args[:required]) == case.cls(*case.args[:required])
-        fresh = [case.cls(*case.args[:required]) for _ in range(2)]
-        assert all(getattr(fresh[0], n) is not getattr(fresh[1], n) for n, d in case.fields
-                   if d is LIST)
 
 
 @pytest.mark.parametrize(
@@ -217,3 +200,24 @@ def test_periodic_word_matches_a_twin_on_its_canonical_period(held):
         with pytest.raises(AttributeError):
             del ours._text
         assert ours.period == "ABB"
+
+
+def test_renormalize_and_trace_results_are_frozen_values():
+    # each result is built once: hashable, with tuples for its sequences and no field assignable
+    octagon, start = build_polygon(4), (Q2Scalar(Fraction(1, 10)), Q2Scalar(Fraction(1, 7)))
+    word, log = trace(octagon, (0.1, 0.05), ApproxDirection(0.7312), TraceConfig(max_crossings=300))
+    exact_word, exact_log = trace(octagon, start, ExactDirection.from_cot(Q2Scalar(1, 1)),
+                                  TraceConfig(max_crossings=40, mode="exact"))
+    results = [log, exact_log, renormalize(word, 5), renormalize(word[:40], 5),
+               renormalize("ADADAD", 5, start_diagram=0),
+               renormalize(PeriodicWord.of("AD"), 5, start_diagram=1)]
+    assert [r.failure for r in results[2:]] == [None, "ambiguous", "window_exhausted", None]
+    assert results[3].ambiguous_set and results[-1].tail == 1
+    assert len(log.crossings) == len(word) and len(exact_log.crossings) == len(exact_word)
+    for result in results:
+        hash(result)
+        for name in result._fields:
+            value = getattr(result, name)
+            assert not isinstance(value, list), name
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(result, name, value)

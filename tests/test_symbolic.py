@@ -14,7 +14,6 @@ from cutseq.symbolic import (
     boundary_diagram,
     build_diagram,
     derive,
-    derive_times,
     factor_count,
     factor_counts_upto,
     factor_set,
@@ -27,7 +26,7 @@ from cutseq.symbolic import (
     sector0_walk,
     sector_permutation,
     square_derive,
-    transitions,
+    transition_set,
 )
 
 # the worked-example window (58 letters) and its renormalization chain
@@ -216,8 +215,8 @@ def test_factor_counts_upto_matches_naive():
 
 
 def test_transitions_wrap():
-    assert transitions(PeriodicWord.of("AD")) == [("A", "D"), ("D", "A")]
-    assert transitions("AD") == [("A", "D")]
+    assert transition_set(PeriodicWord.of("AD")) == {("A", "D"), ("D", "A")}
+    assert transition_set("AD") == {("A", "D")}
 
 
 def test_word_formats():
@@ -271,20 +270,6 @@ def test_square_derivation_demo():
     assert square_derive("BAABAAAB") == "BABAAB"
     with pytest.raises(InadmissibleWordError):
         square_derive("AABB")
-
-
-def test_derive_times():
-    assert derive_times(EX_WINDOW, 0) == EX_WINDOW
-    chain1 = derive(permute(sector_permutation(4, 4), EX_WINDOW))
-    assert chain1 == EX_DERIVED_1
-
-
-def test_derive_times_counts_and_exhaustion():
-    assert derive_times(EX_WINDOW, 2) == derive(derive(EX_WINDOW))
-    # exhaustion stops the count early: a window runs out of letters, a period of them
-    assert derive_times("ADADAD", 6) == ""
-    assert derive_times(PeriodicWord.of("ABC"), 3) is None
-    assert derive_times(PeriodicWord.of("AAB"), 4) == PeriodicWord.of("B")
 
 
 def test_dodecagon_diagram_matches_traced_transitions():
