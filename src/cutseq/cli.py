@@ -264,10 +264,13 @@ def _cmd_check_coherence(args) -> dict:
     steps = []
     if args.depth != 0 or not explicit:  # only --depth 0 with a pair asks for no chain
         tr = cutseq.renormalize(w, args.depth + 1, args.n, start_diagram=args.start_diagram)
-        if tr.failure is not None and tr.depth < 2:
+        if tr.failure not in (None, "incoherent") and tr.depth < 2:
             raise cutseq.coherence.chain_refusal(tr, args.depth + 1)
-        for k in range(min(args.depth, tr.depth - 1)):
-            i, j = tr.steps[k].diagram, tr.steps[k + 1].diagram
+        pairs = [(k, tr.steps[k + 1].diagram) for k in range(min(args.depth, tr.depth - 1))]
+        # an incoherent chain ends with the refused sectors of the level where it stopped
+        pairs += [(tr.depth - 1, j) for j in tr.ambiguous_set if tr.failure == "incoherent"]
+        for k, j in pairs:
+            i = tr.steps[k].diagram
             verdict = cutseq.check_coherent(tr.steps[k].word, i, j, args.n)
             steps.append(
                 {"step": k, "i": i, "j": j, "accepted": verdict.accepted, "failed": verdict.failed}

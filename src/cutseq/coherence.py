@@ -15,11 +15,14 @@ admissible sectors) and which letters sandwich which (C1, the sandwich
 profile).  Both are answered in the symbolic module, which owns the pair codes
 and `sandwich_profile`, and `derive` runs there on whole-text integer and bytes
 operations, so a level makes no per-letter pass in Python.  `renormalize`
-derives each level once: the coherence filter of a later level reuses the word
-the previous level derived.
+decides each level after the first by C1-C3 against the level before, reusing
+the word that level derived and its memoized profile; regeneration breaks ties,
+and a level with no coherent sector stops the chain as "incoherent".
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .farey import SectorInterval, sector_interval
 from .generation import _generate_admitted, _insertions, sandwich_group
@@ -53,17 +56,22 @@ class InsufficientWindowError(CutseqError):
 
 
 def fitting_groups(profile: dict[str, frozenset[str]], n: int) -> tuple[int, ...]:
-    """Sandwich-group indices consistent with every sandwiched occurrence seen.
+    """Sandwich-group indices consistent with every sandwiched occurrence seen:
+    those whose own profile holds the word's.
 
     A letter that never occurs sandwiched constrains nothing; this is the
     weakest sound reading on finite windows.
     """
-    out = []
-    for l in range(n):
-        group = sandwich_group(l, n)
-        if all(seen <= {group[letter]} for letter, seen in profile.items()):
-            out.append(l)
-    return tuple(out)
+    items = profile.items()
+    return tuple(l for l, group in enumerate(_group_profiles(n)) if items <= group)
+
+
+@lru_cache(maxsize=None)
+def _group_profiles(n: int) -> tuple:
+    """The profile of each sandwich group, as items: every letter sandwiched by its group
+    letter alone."""
+    return tuple({a: frozenset(b) for a, b in sandwich_group(l, n).items()}.items()
+                 for l in range(n))
 
 
 class CoherenceVerdict(Record):
@@ -166,7 +174,8 @@ class RenormalizationStep(Record):
 
 class RenormalizationTrace(Record):
     __slots__ = _fields = ("steps", "failure", "ambiguous_set", "tail", "split")
-    # failure: "inadmissible" | "ambiguous" | "window_exhausted"; split: (step, candidate pair)
+    # failure: "inadmissible" | "ambiguous" | "incoherent" | "window_exhausted"; split: (step,
+    # candidate pair); ambiguous_set: the admissible sectors of an ambiguous or incoherent level
     _defaults = ((), None, (), None, None)
 
     @property
@@ -213,11 +222,12 @@ def renormalize(
 ) -> RenormalizationTrace:
     """Iterate normalize-then-derive, recording the admissible sector each time.
 
-    The first entry must be unique or supplied; later ambiguity is filtered by
-    coherence with the previous step, which pins the entry except at the tail
-    split of periodic words (where the itinerary form is chosen and the split
-    recorded).  Halts early on inadmissibility, unresolvable ambiguity, or a
-    window running out of letters, reporting which; a fixed tail repeats its
+    The first entry must be unique or supplied; every later one is an admissible
+    sector passing C1-C3 against the previous step, regeneration choosing among
+    several, which pins it except at the tail split of periodic words (where the
+    itinerary form is chosen and the split recorded).  Halts early on
+    inadmissibility, no coherent sector ("incoherent"), unresolvable ambiguity, or
+    a window running out of letters, reporting which; a fixed tail repeats its
     step up to max_depth.  The frozen trace is built once, at the end, with its
     steps a tuple.  A given start_diagram must be a sector index.
     """
@@ -240,22 +250,25 @@ def renormalize(
                 failure = "inadmissible"
                 break
             d = start_diagram
-        elif len(found) == 1:
-            d = found[0]
         elif k == 0:
-            failure, ambiguous = "ambiguous", found
-            break
+            if len(found) > 1:
+                failure, ambiguous = "ambiguous", found
+                break
+            d = found[0]
         else:
-            # cur = derive(prev.normalized) and found = admissible_diagrams(cur), so this is
-            # decompose_candidates(prev.word, prev.diagram) without deriving the level again
-            allowed = _coherent_sectors(steps[-1].normalized, cur, found, n)
+            # cur = derive(prev.normalized) and found = admissible_diagrams(cur), so C0 and
+            # the derived word hold and this is check_coherent(prev.word, prev.diagram, j)
+            prev = steps[-1].normalized
+            groups = fitting_groups(sandwich_profile(prev), n)
+            coherent = [j for j in found if j >= 1 and j // 2 in groups]
+            allowed = _coherent_sectors(prev, cur, coherent, n) if len(coherent) > 1 else coherent
             if len(allowed) == 1:
                 d = allowed[0]
             elif len(allowed) == 2 and abs(allowed[0] - allowed[1]) == 1:
                 split = (k, tuple(sorted(allowed)))
                 d = _resolve_split(cur, allowed, n)
             else:
-                failure, ambiguous = "ambiguous", found
+                failure, ambiguous = "ambiguous" if allowed else "incoherent", found
                 break
         normalized = permute(sector_permutation(d, n), cur)
         steps.append(RenormalizationStep(cur, d, normalized))
@@ -289,4 +302,7 @@ def chain_refusal(trace: RenormalizationTrace, max_depth: int) -> CutseqError:
         return AmbiguousDiagramError(
             f"admissible diagrams {trace.ambiguous_set} at depth {trace.depth}"
         )
+    if trace.failure == "incoherent":
+        return NotCoherentError(f"not coherent at depth {trace.depth}: admissible diagrams "
+                                f"{trace.ambiguous_set} fail C1-C3 against depth {trace.depth - 1}")
     return InadmissibleWordError(f"renormalization failed: {trace.failure}")

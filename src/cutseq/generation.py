@@ -67,10 +67,24 @@ def sandwich_group(l: int, n: int) -> MappingProxyType[str, str]:
                              for j in range(1, n + 1)})
 
 
+class _FrozenWords(dict):
+    """A dict that refuses writes and hashes by its items: a cached table's words."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
 class InterpolationTable(Record):
     """Interpolating words for every edge of every sector diagram k = 1..2n-1."""
 
-    __slots__ = _fields = ("n", "words")  # words: {(k, a, b): word}, read-only when cached
+    __slots__ = _fields = ("n", "words")  # words: {(k, a, b): word}; hashable when cached
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +96,7 @@ def synthesize_table(n: int) -> InterpolationTable:
     floor(k/2) at both ends: its second letter must sandwich L1 and its last
     but one L2.  The word is the stretch's inner letters; when there are none,
     those two letters are L2 and L1, which must sandwich each other.  The
-    table is cached, so its words are a read-only view.
+    table is cached, so its words refuse writes, and it hashes by its items.
     """
     if n < 3:
         raise CutseqError("generation needs an alphabet of at least 3 letters")
@@ -103,14 +117,15 @@ def synthesize_table(n: int) -> InterpolationTable:
                     f"interpolations {candidates!r}"
                 )
             words[(k, a, b)] = candidates[0]
-    return InterpolationTable(n, MappingProxyType(words))
+    return InterpolationTable(n, _FrozenWords(words))
 
 
 @lru_cache(maxsize=None)
-def _insertions(k: int, n: int) -> dict[tuple[str, str], str]:
+def _insertions(k: int, n: int) -> MappingProxyType[tuple[str, str], str]:
     """Edge (a, b) of diagram k -> a + its interpolating word: the piece a generated word
-    holds for each pair ab."""
-    return {(a, b): a + w for (j, a, b), w in synthesize_table(n).words.items() if j == k}
+    holds for each pair ab.  Cached, so a read-only view."""
+    words = synthesize_table(n).words.items()
+    return MappingProxyType({(a, b): a + w for (j, a, b), w in words if j == k})
 
 
 @lru_cache(maxsize=None)

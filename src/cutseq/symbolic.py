@@ -42,17 +42,17 @@ with any character outside A-H keep one zip over the text.
 
 Renormalization asks the same questions of the same level several times:
 `renormalize`, `check_coherent`, `decompose_candidates` and
-`recognize_direction` each normalize and derive a window's levels again.  So
-the two text kernels, `_sandwiched_letters` (derive) and `_pair_set`
-(`transition_set`), are memoized under `functools.lru_cache`, keyed by the
-wrapped held text.  That is the text they compute from, so equal texts share an
-entry whether they come as a str or a periodic word, and derive and
-transition_set wrap the answer in the caller's container; and it is the held
-rotation, so a lookup never canonicalizes a periodic word.  Each memo keeps the
-_MEMO_SIZE most recent texts, enough for the five levels of one
-renormalization chain.  That bounds what they hold: at most _MEMO_SIZE texts
-each, with their sandwiched letters (never longer) or pair sets (at most n^2
-pairs).
+`recognize_direction` each normalize, derive and profile a window's levels
+again.  So the three text kernels, `_sandwiched_letters` (derive), `_pair_set`
+(`transition_set`) and `_sandwich_pairs` (`sandwich_profile`), are memoized
+under `functools.lru_cache`, keyed by the wrapped text they compute from: equal
+texts share an entry whether they come as a str or a periodic word, and each
+public function wraps the immutable answer in the caller's container.  derive
+and transition_set key the held rotation, so a lookup never canonicalizes a
+periodic word; the profile keys the canonical one, as its letter order depends
+on the rotation.  Each memo keeps the _MEMO_SIZE most recent texts, enough for
+the five levels of one renormalization chain, with their sandwiched letters
+(never longer), pair sets or profiles (at most n^2 letter pairs).
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ def _wrapped(w: Wordlike, held: bool = False) -> str:
 # 700.  The route takes every long word of a polygon with n <= 8.
 _SEARCH_MIN_LENGTH = 96
 
-# Texts held by each of the two kernel memos (module doc).
+# Texts held by each of the three kernel memos (module doc).
 _MEMO_SIZE = 6
 
 # The coded letters, and the bytes.translate table that codes them: the letter
@@ -383,16 +383,22 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
 
     Only interior occurrences count: the boundary letters of a str have
     unknown neighbours.  Periodic words wrap around.  The letters come in the
-    order of their first sandwiched occurrence.
+    order of their first sandwiched occurrence, read from the memo (module doc).
     """
-    t = _wrapped(w)
+    return dict(_sandwich_pairs(_wrapped(w)))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _sandwich_pairs(t: str) -> tuple[tuple[str, frozenset[str]], ...]:
+    """(letter, its sandwiching letters) in profile order for a wrapped text:
+    `sandwich_profile`'s memoized kernel, a tuple so no caller can change it."""
     coded = _pair_codes(t)
     if coded is None:
         prof: dict[str, set[str]] = {}
         # dict.fromkeys: distinct pairs, letters in order of first sandwiched occurrence
         for letter, left in dict.fromkeys((b, a) for a, b, c in zip(t, t[1:], t[2:]) if a == c):
             prof.setdefault(letter, set()).add(left)
-        return {letter: frozenset(v) for letter, v in prof.items()}
+        return tuple((letter, frozenset(v)) for letter, v in prof.items())
     letters, codes, pairs = coded
     m = len(t) - 2
     # byte i: the code of the pair t[i] t[i + 1] where t[i + 2] == t[i], else 0xFF
@@ -403,7 +409,7 @@ def sandwich_profile(w: Wordlike) -> dict[str, frozenset[str]]:
         hits = [(i, a) for x, a in letters if (i := sandwiches.find(8 * x + y)) >= 0]
         if hits:
             found.append((min(hits)[0], b, frozenset(a for _, a in hits)))
-    return {b: lefts for _, b, lefts in sorted(found)}
+    return tuple((b, lefts) for _, b, lefts in sorted(found))
 
 
 # -- transition diagrams -----------------------------------------------------

@@ -137,6 +137,29 @@ def test_check_coherence_incoherent_word(capsys):
     assert doc["coherent"] is False
 
 
+@pytest.mark.parametrize(
+    "word, sectors",
+    [
+        ("per:ABBACDCDC", "(4,)"),  # C3 fails
+        ("per:BBBBC", "(0,)"),  # no later entry may be 0 (C2)
+        ("per:CCCBDBCCBDBCCBDBCBDADB", "(6,)"),  # C1 fails
+    ],
+)
+def test_recognize_refuses_incoherent_words(capsys, word, sectors):
+    # no admissible sector of level 1 passes C1-C3 against level 0
+    assert run(capsys, "recognize", "--word", word) == (
+        2, "", f"cutseq: not coherent at depth 1: admissible diagrams {sectors} fail C1-C3"
+        " against depth 0\n",
+    )
+
+
+def test_check_coherence_stops_at_the_incoherent_level(capsys):
+    # the chain ends where renormalize stopped, with a verdict for each refused sector
+    doc = run_json(capsys, "check-coherence", "--word", "per:ABBACDCDC", "--depth", "3")
+    assert doc["coherent"] is False
+    assert doc["steps"] == [{"step": 0, "i": 2, "j": 4, "accepted": False, "failed": "C3"}]
+
+
 def test_check_coherence_chain(capsys):
     window = "AADBDAAAADBDBCBDBDAAAADBDAAAADBDAAAADBDBCBDBDAAADBDBDAAADB"
     doc = run_json(capsys, "check-coherence", "--word", window, "--depth", "2")

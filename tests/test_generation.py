@@ -9,6 +9,7 @@ from cutseq.coherence import check_coherent, decompose_candidates
 from cutseq.exact_arith import ApproxDirection
 from cutseq.generation import (
     InvalidPrefixError,
+    _insertions,
     build_family,
     enumerate_factors,
     generate,
@@ -47,6 +48,21 @@ def test_cached_tables_are_read_only():
         synthesize_table(4).words[(3, "D", "B")] = "A"
     assert sandwich_group(0, 4)["B"] == "C" and synthesize_table(4).words[(3, "D", "B")] == "BCC"
     assert check_coherent(w, 0, 1) == before and before.accepted
+
+
+def test_cached_insertions_are_read_only():
+    # coherence reads these pieces for every window it checks
+    with pytest.raises(TypeError):
+        _insertions(3, 4)[("D", "B")] = "D"
+    assert _insertions(3, 4)[("D", "B")] == "DBCC"
+
+
+def test_equal_interpolation_tables_hash_equal():
+    t = synthesize_table(4)
+    synthesize_table.cache_clear()
+    u = synthesize_table(4)  # built again, equal but not the cached object
+    assert u is not t and u == t and hash(u) == hash(t) and len({t, u}) == 1
+    assert synthesize_table(5) != t
 
 
 def test_sandwich_groups_octagon():

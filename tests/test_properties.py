@@ -1,14 +1,15 @@
 """Property tests: the word kernel, the least rotation, the Q(sqrt 2) scalar,
 the float and exact tracers, factor sets and factor counts against naive
 references, periodic words built from every rotation against the canonical one,
-renormalization against the route that derives each level twice, generation
-against the pair-by-pair join, the text memo against the unmemoized kernels,
-the order of exact directions against their angle keys, the Moebius action as a
-homomorphism and on integers against scalar-by-scalar references, the
-one-denominator matrix against one scalar per entry, the integer pullbacks of
-sector intervals and expansions against one Moebius step per entry, the float
-tracer's table of T^K against the one-step loop, the tiled exact tracer against
-one exact bisect per crossing, and the text round trips of scalars and words."""
+renormalization against the route that derives each level twice and against
+`check_coherent` at every level, generation against the pair-by-pair join, the
+text memos against the unmemoized kernels, the order of exact directions
+against their angle keys, the Moebius action as a homomorphism and on integers
+against scalar-by-scalar references, the one-denominator matrix against one
+scalar per entry, the integer pullbacks of sector intervals and expansions
+against one Moebius step per entry, the float tracer's table of T^K against the
+one-step loop, the tiled exact tracer against one exact bisect per crossing, and
+the text round trips of scalars and words."""
 
 import math
 import random
@@ -29,6 +30,7 @@ from cutseq.coherence import (
     _core_matches,
     _is_fixed_tail_word,
     _resolve_split,
+    check_coherent,
     decompose_candidates,
     renormalize,
     sandwich_profile,
@@ -63,6 +65,7 @@ from cutseq.symbolic import (
     _held,
     _pair_codes,
     _pair_set,
+    _sandwich_pairs,
     _sandwiched_letters,
     _wrapped,
     admissible_diagrams,
@@ -377,7 +380,7 @@ def test_bulk_regeneration_of_self_loop_runs_and_one_letter_periods():
         assert_same_word(generate(1, 0, w, 4), join_generate(1, 0, w, 4))
 
 
-# -- the text memo of derive and transition_set ----------------------------------
+# -- the text memos of derive, transition_set and sandwich_profile ----------------
 
 
 @FAST
@@ -397,6 +400,21 @@ def test_memo_answers_each_container_in_its_own_type(nw):
             assert _sandwiched_letters(key) == _sandwiched_letters.__wrapped__(key)
             pairs = transition_set(x)
             assert pairs == _pair_set.__wrapped__(key) == frozenset(naive_transitions(x))
+
+
+@FAST
+@given(st.one_of(words(), long_words()))
+def test_profile_memo_hands_each_caller_its_own_dict(nw):
+    """The memo holds an immutable profile and every call copies it, so a caller
+    that changes its profile changes no later answer."""
+    _, w = nw
+    for _ in range(2):  # a miss, then a hit
+        prof = sandwich_profile(w)
+        assert type(prof) is dict and list(prof.items()) == list(ordered_profile(w).items())
+        prof["A"] = frozenset("Z")
+    assert type(_sandwich_pairs(_wrapped(w))) is tuple
+    info = _sandwich_pairs.cache_info()
+    assert info.maxsize == _MEMO_SIZE and info.currsize <= _MEMO_SIZE
 
 
 def test_memo_holds_at_most_its_size():
@@ -556,7 +574,7 @@ def reference_renormalize(w, max_depth, n, start_diagram=None):
                 failure = "inadmissible"
                 break
             d = start_diagram
-        elif len(found) == 1:
+        elif k == 0 and len(found) == 1:
             d = found[0]
         elif k == 0:
             failure, ambiguous = "ambiguous", found
@@ -570,7 +588,7 @@ def reference_renormalize(w, max_depth, n, start_diagram=None):
                 split = (k, tuple(sorted(allowed)))
                 d = _resolve_split(cur, allowed, n)
             else:
-                failure, ambiguous = "ambiguous", found
+                failure, ambiguous = "ambiguous" if allowed else "incoherent", found
                 break
         normalized = permute(sector_permutation(d, n), cur)
         steps.append(RenormalizationStep(cur, d, normalized))
@@ -621,6 +639,27 @@ def test_renormalize_matches_twice_derived_reference(nw, depth, start):
     assert got.failure == ref.failure
     assert got.steps == ref.steps
     assert got == ref and hash(got) == hash(ref)
+
+
+@FAST
+@given(st.one_of(traced_windows(), generated_periodic()), st.integers(2, 8),
+       st.none() | st.integers(0, 11))
+@example((4, PeriodicWord.of("ABBACDCDC")), 3, None)  # C3 fails for the one sector of level 1
+@example((4, PeriodicWord.of("BBBBC")), 3, None)  # level 1 is admissible in sector 0 alone
+@example((4, PeriodicWord.of("CCCBDBCCBDBCCBDBCBDADB")), 3, None)  # C1 fails at level 0
+@example((4, PeriodicWord.of("AD")), 5, 1)  # a fixed tail word, coherent with itself
+def test_renormalize_accepts_only_coherent_levels(nw, depth, start):
+    """Each level after the first passes check_coherent against the level before it,
+    and a chain stopped as incoherent has no admissible sector that passes."""
+    n, w = nw
+    start = None if start is None else start % (2 * n)
+    got = renormalize(w, depth, n, start)
+    for prev, step in zip(got.steps, got.steps[1:]):
+        assert check_coherent(prev.word, prev.diagram, step.diagram, n)
+    if got.failure == "incoherent":
+        prev = got.steps[-1]
+        assert got.ambiguous_set
+        assert not any(check_coherent(prev.word, prev.diagram, j, n) for j in got.ambiguous_set)
 
 
 # -- text round trips ------------------------------------------------------------
